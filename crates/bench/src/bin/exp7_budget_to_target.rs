@@ -15,7 +15,7 @@
 
 use opad_attack::{Attack, DensityNaturalness, NaturalFuzz, NormBall, Pgd};
 use opad_bench::{build_cluster_world, print_header, print_row, ClusterWorldConfig, ExpRun};
-use opad_core::{LoopConfig, RetrainConfig, SeedWeighting, TestingLoop};
+use opad_core::{LoopConfig, RetrainConfig, SeedWeighting, ShardedCampaign, ShardedConfig};
 use opad_data::{gaussian_clusters, GaussianClustersConfig};
 use opad_nn::Network;
 use opad_par::Rng;
@@ -103,7 +103,7 @@ fn main() {
     println!("## E7 — true delivered pfd vs cumulative test budget\n");
     print_header(&["method", "round", "tests so far", "true delivered pfd"]);
     // (name, weighting, attack, feedback, seeds-from-balanced-test-set)
-    // `+ Sync` because the loop's fuzz step fans the attack out across
+    // `+ Sync` because the campaign's fuzz step fans the attack out across
     // the opad-par worker pool.
     let arms: [(&str, SeedWeighting, &(dyn Attack + Sync), bool, bool); 3] = [
         ("uniform+pgd", SeedWeighting::Uniform, &pgd, false, true),
@@ -136,16 +136,19 @@ fn main() {
         // An unreachable loop-internal target: every round retrains; the
         // *experiment* measures ground truth externally.
         let target = ReliabilityTarget::new(1e-9, 0.90).unwrap();
-        let mut lp = TestingLoop::new(
+        let mut lp = ShardedCampaign::new(
             base.net.clone(),
             base.op.clone(),
             base.partition.clone(),
             &base.field,
             target,
-            config,
+            ShardedConfig {
+                shards: 1,
+                base: config,
+            },
+            7000,
         )
         .unwrap();
-        let mut rng = Rng::seed_from_u64(7000);
         let mut truth_rng = Rng::seed_from_u64(12345); // shared measurement stream
         let mut pfds = Vec::new();
         let pfd0 = true_delivered_pfd(
@@ -167,7 +170,7 @@ fn main() {
             } else {
                 &base.field
             };
-            lp.run_round_with_pool(pool, &base.field, &base.train, &attack, &mut rng)
+            lp.run_round_with_pool(pool, &base.field, &base.train, &attack)
                 .unwrap();
             let mut net = lp.network().clone();
             let pfd = true_delivered_pfd(&mut net, &gcfg, &base.truth_class_probs, &mut truth_rng);

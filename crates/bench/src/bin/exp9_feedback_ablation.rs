@@ -10,8 +10,7 @@
 
 use opad_attack::{NormBall, Pgd};
 use opad_bench::{build_cluster_world, print_header, print_row, ClusterWorldConfig, ExpRun};
-use opad_core::{LoopConfig, RetrainConfig, SeedWeighting, TestingLoop};
-use opad_par::Rng;
+use opad_core::{LoopConfig, RetrainConfig, SeedWeighting, ShardedCampaign, ShardedConfig};
 use opad_reliability::ReliabilityTarget;
 use opad_telemetry::JsonValue;
 
@@ -55,20 +54,21 @@ fn main() {
             mc_samples: 1000,
         };
         let target = ReliabilityTarget::new(1e-9, 0.90).unwrap(); // never stop early
-        let mut lp = TestingLoop::new(
+        let mut lp = ShardedCampaign::new(
             base.net.clone(),
             base.op.clone(),
             base.partition.clone(),
             &base.field,
             target,
-            config,
+            ShardedConfig {
+                shards: 1,
+                base: config,
+            },
+            9300,
         )
         .unwrap();
-        let mut rng = Rng::seed_from_u64(9300);
         for round in 0..4usize {
-            let r = lp
-                .run_round(&base.field, &base.train, &attack, &mut rng)
-                .unwrap();
+            let r = lp.run_round(&base.field, &base.train, &attack).unwrap();
             print_row(&[
                 format!("{round}"),
                 format!("{}", r.aes_found),

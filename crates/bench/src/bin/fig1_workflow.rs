@@ -8,8 +8,7 @@
 
 use opad_attack::{DensityNaturalness, NaturalFuzz, NormBall};
 use opad_bench::{build_cluster_world, ClusterWorldConfig, ExpRun};
-use opad_core::{LoopConfig, RetrainConfig, SeedWeighting, TestingLoop};
-use opad_par::Rng;
+use opad_core::{LoopConfig, RetrainConfig, SeedWeighting, ShardedCampaign, ShardedConfig};
 use opad_reliability::{Assessment, ReliabilityTarget};
 use opad_telemetry::JsonValue;
 
@@ -68,16 +67,19 @@ fn main() {
         max_rounds: 6,
         mc_samples: 1500,
     };
-    let mut lp = TestingLoop::new(
+    let mut lp = ShardedCampaign::new(
         base.net,
         base.op,
         base.partition,
         &base.field,
         target,
-        config,
+        ShardedConfig {
+            shards: 1,
+            base: config,
+        },
+        9100,
     )
     .unwrap();
-    let mut rng = Rng::seed_from_u64(9100);
 
     loop {
         let round = lp.timeline().rounds().len();
@@ -94,9 +96,7 @@ fn main() {
                 ""
             }
         );
-        let report = lp
-            .run_round(&base.field, &base.train, &attack, &mut rng)
-            .unwrap();
+        let report = lp.run_round(&base.field, &base.train, &attack).unwrap();
         println!("│ attacked {} seeds", report.seeds_attacked);
         println!("└─ Step 3 (RQ3): naturalness-guided fuzzing ──────────────────┘");
         println!(

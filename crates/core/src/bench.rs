@@ -30,9 +30,9 @@ impl Benchmarkable for CoreBenches {
         let pgd = Pgd::new(NormBall::linf(0.3).expect("positive radius"), 15, 0.05)
             .expect("nonzero steps");
         const SEEDS: usize = 32;
-        // Mirrors the fuzz step of `TestingLoop::run_round`: clone the net
-        // per seed, derive a per-seed RNG stream keyed by seed index, and
-        // collect outcomes in seed order.
+        // Mirrors the fuzz step of `ShardedCampaign::run_round`: clone the
+        // net per seed, derive a per-seed RNG stream keyed by seed index,
+        // and collect outcomes in seed order.
         let round_at = |name: &'static str, threads: usize| {
             let data = data.clone();
             let net = net.clone();

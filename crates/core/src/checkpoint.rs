@@ -17,7 +17,8 @@
 //! swap between save and resume is caught by those checks wherever
 //! geometry changes; swapping in a different same-shape profile is the
 //! caller's responsibility, exactly as with
-//! [`TestingLoop::update_profile`](crate::TestingLoop::update_profile).
+//! [`ShardedCampaign::update_profile`]. Attached detectors are not
+//! serialized either: re-attach them to the resumed campaign.
 //!
 //! Filename conventions (`CKPT_0007.json`, historical unpadded forms
 //! tolerated) and the schema-version constant live in
@@ -198,10 +199,11 @@ impl<D: Density> ShardedCampaign<D> {
             });
         }
         let sampler = SeedSampler::new(ckpt.config.base.weighting);
-        let alert_rules = opad_alert::default_rules(
+        let alert_rules = crate::pipeline::alert_pack(
             ckpt.timeline.target().target_pfd,
-            crate::pipeline::naturalness_floor(op.density(), field_data)?,
-        );
+            op.density(),
+            field_data,
+        )?;
         Ok(ShardedCampaign {
             net: ckpt.net,
             op,
@@ -216,6 +218,7 @@ impl<D: Density> ShardedCampaign<D> {
             rounds_run: ckpt.rounds_run,
             reports: ckpt.reports,
             alert_rules,
+            detectors: Vec::new(),
         })
     }
 }

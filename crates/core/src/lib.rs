@@ -17,11 +17,12 @@
 //! 5. **Assess** (RQ5) — `opad_reliability::CellReliabilityModel`, whose
 //!    cell priorities feed back into step 2.
 //!
-//! [`TestingLoop`] wires the steps together and iterates until the
-//! reliability target is met. [`ShardedCampaign`] runs the same loop
-//! partitioned over the cell space — bit-identical at any shard count
-//! thanks to mergeable sufficient statistics everywhere — and can be
-//! frozen into a [`CampaignCheckpoint`] between rounds and resumed.
+//! [`ShardedCampaign`] wires the steps together and iterates until the
+//! reliability target is met. Its random streams all derive from one
+//! campaign seed, and its per-cell steps run partitioned over the cell
+//! space — bit-identical at any shard count thanks to mergeable
+//! sufficient statistics everywhere — so it can be frozen into a
+//! [`CampaignCheckpoint`] between rounds and resumed.
 //!
 //! # Examples
 //!
@@ -49,7 +50,7 @@ pub use bench::CoreBenches;
 pub use checkpoint::{read_checkpoint, CampaignCheckpoint};
 pub use error::PipelineError;
 pub use operational_ae::{classify_outcome, AeCorpus, DetectedAe};
-pub use pipeline::{DetectorRoundScore, LoopConfig, RoundReport, StepDurations, TestingLoop};
+pub use pipeline::{DetectorRoundScore, LoopConfig, RoundReport, StepDurations};
 pub use retrain::{retrain_with_aes, RetrainConfig};
 pub use seed_sampler::{SeedSampler, SeedWeightAccumulator, SeedWeighting};
 pub use sharded::{shard_ranges, ShardedCampaign, ShardedConfig};

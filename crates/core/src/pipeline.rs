@@ -1,23 +1,12 @@
-//! The five-step iterative testing loop of the paper's Figure 1:
-//! learn OP → sample seeds → fuzz → retrain → assess, with assessment
-//! feeding the next round's sampling.
+//! The configuration, reports and per-round RNG purposes of the testing
+//! loop of the paper's Figure 1, which [`crate::ShardedCampaign`] runs.
 
-use crate::{
-    classify_outcome, retrain_with_aes, AeCorpus, DetectedAe, PipelineError, RetrainConfig,
-    SeedSampler, SeedWeighting,
-};
+use crate::{PipelineError, RetrainConfig, SeedWeighting};
 use opad_alert::{default_rules, Rule as AlertRule};
-use opad_attack::Attack;
 use opad_data::Dataset;
-use opad_detect::Detector;
-use opad_nn::Network;
-use opad_opmodel::{CentroidPartition, Density, OperationalProfile, Partition};
+use opad_opmodel::Density;
 use opad_par::Rng;
-use opad_reliability::{Assessment, CellReliabilityModel, GrowthTimeline, ReliabilityTarget};
 use opad_telemetry::{self as telemetry, JsonValue};
-use std::fmt;
-use std::sync::Arc;
-use std::time::Instant;
 
 // Stream indices of the per-purpose generators inside one round (see
 // `purpose_rng`). Distinct constants, not positions in a sequence: adding
@@ -28,10 +17,9 @@ pub(crate) const PURPOSE_EVAL: u64 = 2;
 pub(crate) const PURPOSE_ASSESS: u64 = 3;
 pub(crate) const PURPOSE_RETRAIN: u64 = 4;
 
-/// One independent generator per round step, derived from a single draw on
-/// the caller's generator. Because each step owns its stream, the number
-/// of draws one step makes can never shift what another step sees — which
-/// is also what makes the parallel fuzz fan-out order-independent.
+/// One independent generator per round step, derived from the round's
+/// seed. Because each step owns its stream, the number of draws one step
+/// makes can never shift what another step sees.
 pub(crate) fn purpose_rng(round_seed: u64, purpose: u64) -> Rng {
     Rng::seed_from_u64(opad_par::stream_seed(round_seed, purpose))
 }
@@ -43,10 +31,21 @@ pub(crate) fn purpose_rng(round_seed: u64, purpose: u64) -> Rng {
 const NATURALNESS_FLOOR_QUANTILE: f64 = 0.05;
 const NATURALNESS_FLOOR_MARGIN: f64 = 10.0;
 
-pub(crate) fn naturalness_floor<D: Density>(
+/// The default alert pack for a run against `target_pfd`, with the
+/// naturalness floor derived from `density` over `field_data`. The floor
+/// is also published as the `pipeline.naturalness_floor` gauge, so the
+/// history plane records which threshold each stretch of a run was
+/// judged against.
+pub(crate) fn alert_pack<D: Density>(
+    target_pfd: f64,
     density: &D,
     field_data: &Dataset,
-) -> Result<f64, PipelineError> {
+) -> Result<Vec<AlertRule>, PipelineError> {
+    if field_data.is_empty() {
+        return Err(PipelineError::InvalidConfig {
+            reason: "field data must be nonempty".into(),
+        });
+    }
     let d = field_data.feature_dim();
     let xs = field_data.features().as_slice();
     let mut scores = Vec::with_capacity(field_data.len());
@@ -55,7 +54,9 @@ pub(crate) fn naturalness_floor<D: Density>(
     }
     scores.sort_by(f64::total_cmp);
     let ix = ((scores.len() - 1) as f64 * NATURALNESS_FLOOR_QUANTILE).floor() as usize;
-    Ok(scores[ix] - NATURALNESS_FLOOR_MARGIN)
+    let floor = scores[ix] - NATURALNESS_FLOOR_MARGIN;
+    telemetry::gauge_set("pipeline.naturalness_floor", floor);
+    Ok(default_rules(target_pfd, floor))
 }
 
 /// Configuration of the testing loop.
@@ -308,488 +309,26 @@ impl PartialEq for RoundReport {
     }
 }
 
-/// A detector riding along with the loop (shared, scored read-only).
-#[derive(Clone)]
-pub(crate) struct AttachedDetector(Arc<dyn Detector + Send + Sync>);
-
-impl fmt::Debug for AttachedDetector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "AttachedDetector({})", self.0.name())
-    }
-}
-
-/// The operational adversarial testing loop (the paper's contribution,
-/// Fig. 1).
-///
-/// Owns the model under test, the (learned) operational profile, the cell
-/// partition, and the reliability model; each [`TestingLoop::run_round`]
-/// performs steps 2–5 of the workflow and records an [`Assessment`].
-#[derive(Debug, Clone)]
-pub struct TestingLoop<D> {
-    net: Network,
-    op: OperationalProfile<D>,
-    partition: CentroidPartition,
-    cell_op: Vec<f64>,
-    reliability: CellReliabilityModel,
-    timeline: GrowthTimeline,
-    corpus: AeCorpus,
-    sampler: SeedSampler,
-    config: LoopConfig,
-    rounds_run: usize,
-    alert_rules: Vec<AlertRule>,
-    detectors: Vec<AttachedDetector>,
-}
-
-impl<D: Density> TestingLoop<D> {
-    /// Creates a loop.
-    ///
-    /// `field_data` (the operational dataset) defines the per-cell OP via
-    /// its empirical cell occupancy (Laplace-smoothed).
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid config or degenerate field data.
-    pub fn new(
-        net: Network,
-        op: OperationalProfile<D>,
-        partition: CentroidPartition,
-        field_data: &Dataset,
-        target: ReliabilityTarget,
-        config: LoopConfig,
-    ) -> Result<Self, PipelineError> {
-        config.validate()?;
-        if field_data.is_empty() {
-            return Err(PipelineError::InvalidConfig {
-                reason: "field data must be nonempty".into(),
-            });
-        }
-        let cell_op = partition.cell_distribution(field_data.features(), 0.5)?;
-        let reliability = CellReliabilityModel::new(cell_op.clone())?;
-        let sampler = SeedSampler::new(config.weighting);
-        // The run's own claims parameterise its watchdogs: the pfd bound
-        // it set out to demonstrate, and a naturalness floor derived from
-        // the training OP's log-density over the field data. The floor is
-        // also published as a gauge so the history plane records which
-        // threshold each stretch of a run was judged against.
-        let floor = naturalness_floor(op.density(), field_data)?;
-        telemetry::gauge_set("pipeline.naturalness_floor", floor);
-        let alert_rules = default_rules(target.target_pfd, floor);
-        Ok(TestingLoop {
-            net,
-            op,
-            partition,
-            cell_op,
-            reliability,
-            timeline: GrowthTimeline::new(target),
-            corpus: AeCorpus::new(),
-            sampler,
-            config,
-            rounds_run: 0,
-            alert_rules,
-            detectors: Vec::new(),
-        })
-    }
-
-    /// Attaches a fitted detector: every subsequent round scores its AE
-    /// candidates through it and reports the mean suspicion per detector
-    /// on [`RoundReport::detector_scores`]. Detectors observe the round
-    /// read-only, so attaching them never perturbs sampling, fuzzing or
-    /// the reliability claim.
-    pub fn attach_detector(&mut self, detector: Arc<dyn Detector + Send + Sync>) {
-        self.detectors.push(AttachedDetector(detector));
-    }
-
-    /// Names of the attached detectors, in attachment order.
-    pub fn detector_names(&self) -> Vec<&'static str> {
-        self.detectors.iter().map(|d| d.0.name()).collect()
-    }
-
-    /// The model under test (read-only).
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
-    /// Consumes the loop, returning the (retrained) model.
-    pub fn into_network(self) -> Network {
-        self.net
-    }
-
-    /// The cumulative corpus of detected operational AEs.
-    pub fn corpus(&self) -> &AeCorpus {
-        &self.corpus
-    }
-
-    /// The reliability-growth timeline.
-    pub fn timeline(&self) -> &GrowthTimeline {
-        &self.timeline
-    }
-
-    /// The discretised (per-cell) operational profile.
-    pub fn cell_op(&self) -> &[f64] {
-        &self.cell_op
-    }
-
-    /// The current reliability model.
-    pub fn reliability(&self) -> &CellReliabilityModel {
-        &self.reliability
-    }
-
-    /// The default alert pack this loop installs into the global
-    /// [`opad_alert`] center (when one is installed) at the top of every
-    /// round: pfd-bound breach, naturalness drift against the training
-    /// OP, dead fuzz fan-out / stalled seeds, and the stuck-phase
-    /// watchdog — parameterised on this run's own target and data.
-    pub fn alert_rules(&self) -> &[AlertRule] {
-        &self.alert_rules
-    }
-
-    /// Replaces the operational profile mid-loop (RQ1 re-learning after
-    /// drift): recomputes the per-cell OP from `fresh_field_data` and
-    /// resets the reliability evidence, since the old demands were drawn
-    /// from a profile that no longer holds. The AE corpus and the model
-    /// are kept — fixed bugs stay fixed.
-    ///
-    /// # Errors
-    ///
-    /// Fails on empty data or a degenerate profile.
-    pub fn update_profile(
-        &mut self,
-        op: OperationalProfile<D>,
-        fresh_field_data: &Dataset,
-    ) -> Result<(), PipelineError> {
-        if fresh_field_data.is_empty() {
-            return Err(PipelineError::InvalidConfig {
-                reason: "fresh field data must be nonempty".into(),
-            });
-        }
-        self.cell_op = self
-            .partition
-            .cell_distribution(fresh_field_data.features(), 0.5)?;
-        self.reliability = CellReliabilityModel::new(self.cell_op.clone())?;
-        // The naturalness floor belongs to the profile that defined it.
-        let floor = naturalness_floor(op.density(), fresh_field_data)?;
-        telemetry::gauge_set("pipeline.naturalness_floor", floor);
-        self.alert_rules = default_rules(self.timeline.target().target_pfd, floor);
-        self.op = op;
-        Ok(())
-    }
-
-    /// Runs one round: sample seeds (RQ2) → attack (RQ3) → assess (RQ5)
-    /// → retrain (RQ4). Seeds are drawn from `field_data` itself.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling, attack, assessment and retraining failures.
-    pub fn run_round<A: Attack + Sync>(
-        &mut self,
-        field_data: &Dataset,
-        train_data: &Dataset,
-        attack: &A,
-        rng: &mut Rng,
-    ) -> Result<RoundReport, PipelineError>
-    where
-        D: Sync,
-    {
-        self.run_round_with_pool(field_data, field_data, train_data, attack, rng)
-    }
-
-    /// Like [`TestingLoop::run_round`] but draws attack seeds from a
-    /// separate `seed_pool` (e.g. a balanced test set, to reproduce
-    /// OP-ignorant baselines) while reliability evaluation still uses the
-    /// operational `field_data`.
-    ///
-    /// The round is deterministic at any `OPAD_THREADS`: every step owns
-    /// an RNG stream derived (via [`opad_par::stream_seed`]) from a single
-    /// draw on `rng`, the per-seed attacks in step 3 each run on their own
-    /// stream keyed by seed index, and their reliability evidence is
-    /// replayed serially in seed order after the parallel fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling, attack, assessment and retraining failures.
-    pub fn run_round_with_pool<A: Attack + Sync>(
-        &mut self,
-        seed_pool: &Dataset,
-        field_data: &Dataset,
-        train_data: &Dataset,
-        attack: &A,
-        rng: &mut Rng,
-    ) -> Result<RoundReport, PipelineError>
-    where
-        D: Sync,
-    {
-        let round = self.rounds_run;
-        let round_start = Instant::now();
-        let _round_span = telemetry::span("round");
-        // Live observers (opad-serve `/healthz`, `/metrics`) read these
-        // gauges to report where the run currently is.
-        telemetry::phase::set_round(round);
-        // If an alert center is watching this process, make sure it has
-        // the default pack for this run (idempotent by rule name, so
-        // operator-tuned overrides with the same names win).
-        if let Some(center) = opad_alert::current() {
-            center.ensure_rules(&self.alert_rules);
-        }
-        let mut step_ms = StepDurations::default();
-
-        let round_seed = rng.next_u64();
-        let mut sample_rng = purpose_rng(round_seed, PURPOSE_SAMPLE);
-        let fuzz_base = opad_par::stream_seed(round_seed, PURPOSE_FUZZ);
-        let mut eval_rng = purpose_rng(round_seed, PURPOSE_EVAL);
-        let mut assess_rng = purpose_rng(round_seed, PURPOSE_ASSESS);
-        let mut retrain_rng = purpose_rng(round_seed, PURPOSE_RETRAIN);
-
-        // ---- Step 2: weight-based seed sampling. ----
-        let step_start = Instant::now();
-        telemetry::phase::set(telemetry::phase::SAMPLE_SEEDS);
-        let seed_idx = {
-            let _span = telemetry::span("sample_seeds");
-            let mut weights =
-                self.sampler
-                    .weights(&mut self.net, seed_pool, Some(self.op.density()))?;
-            if self.config.priority_feedback && round > 0 {
-                let priority = self.reliability.cell_priority();
-                self.sampler.apply_cell_priority(
-                    &mut weights,
-                    seed_pool,
-                    &self.partition,
-                    &priority,
-                )?;
-            }
-            let k = self.config.seeds_per_round.min(seed_pool.len());
-            self.sampler.sample(&weights, k, &mut sample_rng)?
-        };
-        let k = seed_idx.len();
-        step_ms.sample_seeds_ms = telemetry::ms_since(step_start);
-
-        // ---- Step 3: naturalness-guided fuzzing around each seed. ----
-        let step_start = Instant::now();
-        let mut round_corpus = AeCorpus::new();
-        let d = seed_pool.feature_dim();
-        telemetry::phase::set(telemetry::phase::FUZZ);
-        {
-            let _span = telemetry::span("fuzz");
-            let net = &self.net;
-            let partition = &self.partition;
-            let density = self.op.density();
-            // Each seed attacks its own clone of the model on its own RNG
-            // stream keyed by seed index, so outcomes depend on neither
-            // iteration order nor thread count. Attacks only touch forward
-            // caches, never weights, so the clones predict identically.
-            type SeedVerdict = (usize, bool, Option<DetectedAe>);
-            let results = opad_par::par_map(
-                &seed_idx,
-                |_, i: &usize| -> Result<SeedVerdict, PipelineError> {
-                    let i = *i;
-                    let mut seed_net = net.clone();
-                    let mut seed_rng =
-                        Rng::seed_from_u64(opad_par::stream_seed(fuzz_base, i as u64));
-                    let (seed, label) = seed_pool.sample(i)?;
-                    let outcome = attack.run(&mut seed_net, &seed, label, &mut seed_rng)?;
-                    // The seed itself is an operational demand.
-                    let seed_cell =
-                        partition.cell_of(&seed_pool.features().as_slice()[i * d..(i + 1) * d])?;
-                    let seed_pred = {
-                        let batch = seed.reshape(&[1, d])?;
-                        seed_net.predict_labels(&batch)?[0]
-                    };
-                    let ae = classify_outcome(i, &seed, label, &outcome, density, partition)?;
-                    Ok((seed_cell, seed_pred != label, ae))
-                },
-            );
-            // Evidence is replayed serially in seed order — observation
-            // order is part of the deterministic contract, and the first
-            // error (by seed order) is the one that surfaces.
-            for result in results {
-                let (seed_cell, seed_failed, ae) = result?;
-                self.reliability.observe(seed_cell, seed_failed)?;
-                if let Some(ae) = ae {
-                    if self.config.ae_evidence {
-                        self.reliability.observe(ae.cell, true)?;
-                    }
-                    round_corpus.push(ae);
-                }
-            }
-        }
-        step_ms.fuzz_ms = telemetry::ms_since(step_start);
-        let aes_found = round_corpus.len();
-        telemetry::counter_add("pipeline.seeds_attacked", k as u64);
-        telemetry::counter_add("pipeline.aes_found", aes_found as u64);
-        telemetry::counter_add(
-            "pipeline.cells_hit",
-            round_corpus.distinct_cells().len() as u64,
-        );
-        self.corpus.extend_from(&round_corpus);
-
-        // ---- Detector plane: score this round's AE candidates through
-        // every attached detector. Serial, in corpus (= seed) order, so
-        // the reported means are byte-identical at any thread count. ----
-        let detector_scores = {
-            let mut scores = Vec::with_capacity(self.detectors.len());
-            for det in &self.detectors {
-                let mut total = 0.0f64;
-                for ae in round_corpus.aes() {
-                    let s = det.0.score(ae.candidate.as_slice())?;
-                    telemetry::histogram_record("detector.score", s);
-                    total += s;
-                }
-                telemetry::counter_add("detector.scored", round_corpus.len() as u64);
-                scores.push(DetectorRoundScore {
-                    detector: det.0.name().to_string(),
-                    mean_score: if round_corpus.is_empty() {
-                        0.0
-                    } else {
-                        total / round_corpus.len() as f64
-                    },
-                    scored: round_corpus.len(),
-                });
-            }
-            scores
-        };
-
-        // ---- Step 5a: operational evaluation (statistical testing). ----
-        let step_start = Instant::now();
-        telemetry::phase::set(telemetry::phase::EVALUATE);
-        let op_accuracy = {
-            let _span = telemetry::span("evaluate");
-            let mut correct = 0usize;
-            for _ in 0..self.config.eval_per_round {
-                let i = eval_rng.gen_range(0..field_data.len());
-                let (x, label) = field_data.sample(i)?;
-                let cell = self.partition.cell_of(x.as_slice())?;
-                let pred = {
-                    let batch = x.reshape(&[1, d])?;
-                    self.net.predict_labels(&batch)?[0]
-                };
-                let failed = pred != label;
-                self.reliability.observe(cell, failed)?;
-                if !failed {
-                    correct += 1;
-                }
-            }
-            correct as f64 / self.config.eval_per_round as f64
-        };
-        step_ms.evaluate_ms = telemetry::ms_since(step_start);
-
-        // ---- Step 5b: reliability claim and stopping rule. ----
-        let step_start = Instant::now();
-        telemetry::phase::set(telemetry::phase::ASSESS);
-        let (pfd_mean, pfd_upper, target_met) = {
-            let _span = telemetry::span("assess");
-            let pfd_mean = self.reliability.pfd_mean();
-            let pfd_upper = self.reliability.pfd_upper_bound(
-                self.timeline.target().confidence,
-                self.config.mc_samples,
-                &mut assess_rng,
-            )?;
-            self.timeline.record(Assessment {
-                round,
-                pfd_mean,
-                pfd_upper,
-                tests_spent: k + self.config.eval_per_round,
-                aes_found,
-            })?;
-            (pfd_mean, pfd_upper, self.timeline.target_met())
-        };
-        step_ms.assess_ms = telemetry::ms_since(step_start);
-        telemetry::gauge_set("pipeline.pfd_mean", pfd_mean);
-        telemetry::gauge_set("pipeline.pfd_upper", pfd_upper);
-        // The reliability claim under its own namespace, so dashboards
-        // watching the paper's convergence criterion need only this one.
-        telemetry::gauge_set("reliability.pfd_mean", pfd_mean);
-        // Snapshot the freshly assessed gauges into the history plane
-        // immediately: the round boundary is the trajectory point that
-        // matters, not wherever the sampler's cadence happens to land.
-        opad_tsdb::pulse();
-
-        // ---- Step 4: retrain on the cumulative corpus (skipped once the
-        // target is met — testing stops). ----
-        let step_start = Instant::now();
-        if !target_met {
-            telemetry::phase::set(telemetry::phase::RETRAIN);
-            let _span = telemetry::span("retrain");
-            retrain_with_aes(
-                &mut self.net,
-                train_data,
-                &self.corpus,
-                Some(self.op.density()),
-                &self.config.retrain,
-                &mut retrain_rng,
-            )?;
-            // Evidence gathered against the old model no longer applies.
-            self.reliability = CellReliabilityModel::new(self.cell_op.clone())?;
-            step_ms.retrain_ms = telemetry::ms_since(step_start);
-        }
-
-        self.rounds_run += 1;
-        telemetry::phase::set(telemetry::phase::IDLE);
-        Ok(RoundReport {
-            round,
-            seeds_attacked: k,
-            aes_found,
-            op_mass_detected: self.corpus.op_mass_detected(&self.cell_op)?,
-            pfd_mean,
-            pfd_upper,
-            op_accuracy,
-            target_met,
-            detector_scores,
-            wall_ms: telemetry::ms_since(round_start),
-            step_ms,
-        })
-    }
-
-    /// Runs rounds until the reliability target is met or `max_rounds` is
-    /// exhausted; returns one report per round.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run<A: Attack + Sync>(
-        &mut self,
-        field_data: &Dataset,
-        train_data: &Dataset,
-        attack: &A,
-        rng: &mut Rng,
-    ) -> Result<Vec<RoundReport>, PipelineError>
-    where
-        D: Sync,
-    {
-        let mut reports = Vec::new();
-        for _ in 0..self.config.max_rounds {
-            let report = self.run_round(field_data, train_data, attack, rng)?;
-            let done = report.target_met;
-            reports.push(report);
-            if done {
-                break;
-            }
-        }
-        telemetry::phase::set(telemetry::phase::DONE);
-        Ok(reports)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardedCampaign, ShardedConfig};
     use opad_attack::{NormBall, Pgd};
     use opad_data::{gaussian_clusters, uniform_probs, zipf_probs, GaussianClustersConfig};
-    use opad_nn::{Activation, Optimizer, TrainConfig, Trainer};
-    use opad_opmodel::learn_op_gmm;
-
-    fn rng() -> Rng {
-        Rng::seed_from_u64(11)
-    }
+    use opad_nn::{Activation, Network, Optimizer, TrainConfig, Trainer};
+    use opad_opmodel::{learn_op_gmm, CentroidPartition, Gmm, OperationalProfile};
+    use opad_reliability::ReliabilityTarget;
 
     struct Fixture {
         net: Network,
         train: Dataset,
         field: Dataset,
-        op: OperationalProfile<opad_opmodel::Gmm>,
+        op: OperationalProfile<Gmm>,
         partition: CentroidPartition,
     }
 
     fn fixture() -> Fixture {
-        let mut r = rng();
+        let mut r = Rng::seed_from_u64(11);
         let cfg = GaussianClustersConfig::default();
         let train = gaussian_clusters(&cfg, 240, &uniform_probs(3), &mut r).unwrap();
         let field = gaussian_clusters(&cfg, 400, &zipf_probs(3, 1.5), &mut r).unwrap();
@@ -823,6 +362,21 @@ mod tests {
         }
     }
 
+    /// A 1-shard campaign over `field` on the fixture's world.
+    fn campaign(
+        f: &Fixture,
+        field: &Dataset,
+        target: ReliabilityTarget,
+        config: LoopConfig,
+    ) -> Result<ShardedCampaign<Gmm>, PipelineError> {
+        let config = ShardedConfig {
+            shards: 1,
+            base: config,
+        };
+        let (net, op, partition) = (f.net.clone(), f.op.clone(), f.partition.clone());
+        ShardedCampaign::new(net, op, partition, field, target, config, 11)
+    }
+
     #[test]
     fn config_validation() {
         assert!(LoopConfig::default().validate().is_ok());
@@ -844,31 +398,23 @@ mod tests {
         let target = ReliabilityTarget::new(0.05, 0.95).unwrap();
         let empty = Dataset::new(opad_tensor::Tensor::zeros(&[1, 2]), vec![0], 3).unwrap();
         let sel = empty.select(&[0]).unwrap(); // 1-sample data is fine
-        assert!(TestingLoop::new(
-            f.net.clone(),
-            f.op.clone(),
-            f.partition.clone(),
-            &sel,
-            target,
-            small_config()
-        )
-        .is_ok());
+        assert!(campaign(&f, &sel, target, small_config()).is_ok());
         let bad_cfg = LoopConfig {
             eval_per_round: 0,
             ..small_config()
         };
-        assert!(TestingLoop::new(f.net, f.op, f.partition, &f.field, target, bad_cfg).is_err());
+        assert!(campaign(&f, &f.field, target, bad_cfg).is_err());
+        let none = Dataset::new(opad_tensor::Tensor::zeros(&[0, 2]), vec![], 3).unwrap();
+        assert!(campaign(&f, &none, target, small_config()).is_err());
     }
 
     #[test]
     fn one_round_produces_a_report() {
         let f = fixture();
         let target = ReliabilityTarget::new(1e-4, 0.95).unwrap(); // hard target: won't stop
-        let mut lp =
-            TestingLoop::new(f.net, f.op, f.partition, &f.field, target, small_config()).unwrap();
+        let mut lp = campaign(&f, &f.field, target, small_config()).unwrap();
         let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 10, 0.08).unwrap();
-        let mut r = rng();
-        let report = lp.run_round(&f.field, &f.train, &attack, &mut r).unwrap();
+        let report = lp.run_round(&f.field, &f.train, &attack).unwrap();
         assert_eq!(report.round, 0);
         assert_eq!(report.seeds_attacked, 10);
         assert!(report.pfd_upper >= report.pfd_mean);
@@ -888,15 +434,7 @@ mod tests {
     fn constructed_loop_carries_the_default_alert_pack() {
         let f = fixture();
         let target = ReliabilityTarget::new(0.05, 0.95).unwrap();
-        let lp = TestingLoop::new(
-            f.net,
-            f.op.clone(),
-            f.partition,
-            &f.field,
-            target,
-            small_config(),
-        )
-        .unwrap();
+        let lp = campaign(&f, &f.field, target, small_config()).unwrap();
         let names: Vec<&str> = lp.alert_rules().iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
@@ -933,13 +471,11 @@ mod tests {
     fn run_round_installs_the_pack_into_the_global_center() {
         let f = fixture();
         let target = ReliabilityTarget::new(1e-4, 0.95).unwrap();
-        let mut lp =
-            TestingLoop::new(f.net, f.op, f.partition, &f.field, target, small_config()).unwrap();
+        let mut lp = campaign(&f, &f.field, target, small_config()).unwrap();
         let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 5, 0.08).unwrap();
-        let mut r = rng();
         let center = std::sync::Arc::new(opad_alert::AlertCenter::new(Vec::new()));
         opad_alert::install(center.clone());
-        let ran = lp.run_round(&f.field, &f.train, &attack, &mut r);
+        let ran = lp.run_round(&f.field, &f.train, &attack);
         opad_alert::uninstall();
         ran.unwrap();
         for name in [
@@ -957,11 +493,9 @@ mod tests {
     fn full_run_respects_max_rounds_and_orders_reports() {
         let f = fixture();
         let target = ReliabilityTarget::new(1e-6, 0.99).unwrap(); // unreachable
-        let mut lp =
-            TestingLoop::new(f.net, f.op, f.partition, &f.field, target, small_config()).unwrap();
+        let mut lp = campaign(&f, &f.field, target, small_config()).unwrap();
         let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 8, 0.08).unwrap();
-        let mut r = rng();
-        let reports = lp.run(&f.field, &f.train, &attack, &mut r).unwrap();
+        let reports = lp.run(&f.field, &f.train, &attack).unwrap();
         assert_eq!(reports.len(), 2); // max_rounds
         assert_eq!(reports[0].round, 0);
         assert_eq!(reports[1].round, 1);
@@ -973,21 +507,13 @@ mod tests {
         let f = fixture();
         // A very lax target: pfd ≤ 0.9 — met in round 0 for a decent model.
         let target = ReliabilityTarget::new(0.9, 0.9).unwrap();
-        let mut lp = TestingLoop::new(
-            f.net,
-            f.op,
-            f.partition,
-            &f.field,
-            target,
-            LoopConfig {
-                max_rounds: 5,
-                ..small_config()
-            },
-        )
-        .unwrap();
+        let config = LoopConfig {
+            max_rounds: 5,
+            ..small_config()
+        };
+        let mut lp = campaign(&f, &f.field, target, config).unwrap();
         let attack = Pgd::new(NormBall::linf(0.2).unwrap(), 5, 0.08).unwrap();
-        let mut r = rng();
-        let reports = lp.run(&f.field, &f.train, &attack, &mut r).unwrap();
+        let reports = lp.run(&f.field, &f.train, &attack).unwrap();
         assert_eq!(reports.len(), 1, "should stop after the first round");
         assert!(reports[0].target_met);
     }
@@ -996,22 +522,14 @@ mod tests {
     fn corpus_accumulates_across_rounds() {
         let f = fixture();
         let target = ReliabilityTarget::new(1e-6, 0.99).unwrap();
-        let mut lp = TestingLoop::new(
-            f.net,
-            f.op,
-            f.partition,
-            &f.field,
-            target,
-            LoopConfig {
-                max_rounds: 3,
-                ..small_config()
-            },
-        )
-        .unwrap();
+        let config = LoopConfig {
+            max_rounds: 3,
+            ..small_config()
+        };
+        let mut lp = campaign(&f, &f.field, target, config).unwrap();
         // A strong attack so AEs are plentiful.
         let attack = Pgd::new(NormBall::linf(0.5).unwrap(), 15, 0.1).unwrap();
-        let mut r = rng();
-        let reports = lp.run(&f.field, &f.train, &attack, &mut r).unwrap();
+        let reports = lp.run(&f.field, &f.train, &attack).unwrap();
         let per_round: usize = reports.iter().map(|x| x.aes_found).sum();
         assert_eq!(lp.corpus().len(), per_round);
     }
@@ -1020,18 +538,9 @@ mod tests {
     fn update_profile_resets_evidence_but_keeps_corpus() {
         let f = fixture();
         let target = ReliabilityTarget::new(1e-5, 0.95).unwrap();
-        let mut lp = TestingLoop::new(
-            f.net,
-            f.op.clone(),
-            f.partition,
-            &f.field,
-            target,
-            small_config(),
-        )
-        .unwrap();
+        let mut lp = campaign(&f, &f.field, target, small_config()).unwrap();
         let attack = Pgd::new(NormBall::linf(0.4).unwrap(), 12, 0.08).unwrap();
-        let mut r = rng();
-        lp.run_round(&f.field, &f.train, &attack, &mut r).unwrap();
+        lp.run_round(&f.field, &f.train, &attack).unwrap();
         let corpus_before = lp.corpus().len();
         let old_cell_op = lp.cell_op().to_vec();
 
@@ -1039,24 +548,18 @@ mod tests {
         let cfg = GaussianClustersConfig::default();
         let mut r2 = Rng::seed_from_u64(77);
         let drifted = gaussian_clusters(&cfg, 400, &[0.05, 0.15, 0.8], &mut r2).unwrap();
-        lp.update_profile(f.op, &drifted).unwrap();
+        lp.update_profile(f.op.clone(), &drifted).unwrap();
         assert_eq!(lp.corpus().len(), corpus_before, "corpus survives drift");
         assert_ne!(lp.cell_op(), &old_cell_op[..], "cell OP refreshed");
         assert_eq!(lp.reliability().total_demands(), 0, "evidence reset");
-        // The loop keeps running against the new profile.
-        let report = lp.run_round(&drifted, &f.train, &attack, &mut r).unwrap();
+        // The campaign keeps running against the new profile.
+        let report = lp.run_round(&drifted, &f.train, &attack).unwrap();
         assert!(report.pfd_upper >= report.pfd_mean);
 
-        let empty = Dataset::new(opad_tensor::Tensor::zeros(&[1, 2]), vec![0], 3).unwrap();
-        let one = empty.select(&[0]).unwrap();
-        drop(one);
         // Empty data rejected.
         let bad = Dataset::new(opad_tensor::Tensor::zeros(&[0, 2]), vec![], 3).unwrap();
         assert!(lp
-            .update_profile(
-                opad_opmodel::learn_op_gmm(&drifted, 3, 5, &mut r2).unwrap(),
-                &bad
-            )
+            .update_profile(learn_op_gmm(&drifted, 3, 5, &mut r2).unwrap(), &bad)
             .is_err());
     }
 
@@ -1065,12 +568,9 @@ mod tests {
         let run = || {
             let f = fixture();
             let target = ReliabilityTarget::new(1e-4, 0.95).unwrap();
-            let mut lp =
-                TestingLoop::new(f.net, f.op, f.partition, &f.field, target, small_config())
-                    .unwrap();
+            let mut lp = campaign(&f, &f.field, target, small_config()).unwrap();
             let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 10, 0.08).unwrap();
-            let mut r = rng();
-            lp.run_round(&f.field, &f.train, &attack, &mut r).unwrap()
+            lp.run_round(&f.field, &f.train, &attack).unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -1083,12 +583,9 @@ mod tests {
             let _pin = opad_par::override_threads(threads);
             let f = fixture();
             let target = ReliabilityTarget::new(1e-4, 0.95).unwrap();
-            let mut lp =
-                TestingLoop::new(f.net, f.op, f.partition, &f.field, target, small_config())
-                    .unwrap();
+            let mut lp = campaign(&f, &f.field, target, small_config()).unwrap();
             let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 10, 0.08).unwrap();
-            let mut r = rng();
-            lp.run_round(&f.field, &f.train, &attack, &mut r).unwrap()
+            lp.run_round(&f.field, &f.train, &attack).unwrap()
         };
         let serial = run_at(1);
         for threads in [2usize, 4, 8] {

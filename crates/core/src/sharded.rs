@@ -1,43 +1,49 @@
-//! Sharded testing campaigns: the Figure-1 loop partitioned over the
-//! cell space, folded back together through the mergeable sufficient
-//! statistics of each subsystem.
+//! The operational adversarial testing loop of the paper's Figure 1 —
+//! learn OP → sample seeds → fuzz → retrain → assess, with each
+//! assessment feeding the next round's sampling — run as a resumable
+//! campaign over a sharded cell space.
 //!
 //! A [`ShardedCampaign`] deterministically splits the partition's cells
-//! into contiguous shard ranges ([`shard_ranges`]). Each round, every
-//! step that touches per-cell state runs shard-local — seed-weight
-//! accumulation ([`crate::SeedWeightAccumulator`]), fuzz evidence and
-//! operational evaluation (each into a fresh
-//! [`CellReliabilityModel`]) — and the partial results fold back in
-//! shard order. Because every per-shard random stream is keyed by a
-//! *global* identity (seed index, cell index) via
-//! [`opad_par::stream_seed`], and all merges add integer counts (exact
-//! in f64 far below 2^53), the merged posterior and the full
+//! into contiguous shard ranges ([`shard_ranges`]). The two steps that
+//! walk per-cell data run shard-local and fold back in shard order:
+//! seed-weight accumulation ([`crate::SeedWeightAccumulator`]) and
+//! operational evaluation (each shard into a fresh
+//! [`CellReliabilityModel`]). Fuzzing fans out one task per seed at any
+//! shard count, and its evidence is observed serially in seed order.
+//! Every random stream is keyed by a *global* identity (seed index, cell
+//! index) via [`opad_par::stream_seed`], and every merge adds integer
+//! counts (exact in f64 far below 2^53), so the posterior and the full
 //! [`RoundReport`] are bit-identical at any shard count and any
-//! `OPAD_THREADS` — pinned by `tests/shard_equivalence.rs`.
+//! `OPAD_THREADS` — pinned by `tests/shard_equivalence.rs`. `shards: 1`
+//! is the plain sequential loop.
 //!
-//! Unlike [`TestingLoop`](crate::TestingLoop), a campaign owns its RNG
-//! root: round `r` runs on `stream_seed(campaign_seed, r)` rather than a
-//! draw from a caller generator. That makes a campaign resumable — a
-//! checkpoint needs only the round counter, not serialized RNG state
-//! (see [`crate::CampaignCheckpoint`]).
+//! A campaign owns its RNG root: round `r` runs on
+//! `stream_seed(campaign_seed, r)`, never on a caller's generator. That
+//! makes it resumable — a checkpoint needs only the round counter, not
+//! serialized RNG state (see [`crate::CampaignCheckpoint`]). Attached
+//! detectors are not part of a checkpoint; re-attach them after
+//! [`ShardedCampaign::resume`].
 
 use crate::pipeline::{
-    naturalness_floor, purpose_rng, LoopConfig, RoundReport, StepDurations, PURPOSE_ASSESS,
-    PURPOSE_EVAL, PURPOSE_FUZZ, PURPOSE_RETRAIN, PURPOSE_SAMPLE,
+    alert_pack, purpose_rng, DetectorRoundScore, LoopConfig, RoundReport, StepDurations,
+    PURPOSE_ASSESS, PURPOSE_EVAL, PURPOSE_FUZZ, PURPOSE_RETRAIN, PURPOSE_SAMPLE,
 };
 use crate::{
     classify_outcome, retrain_with_aes, AeCorpus, DetectedAe, PipelineError, SeedSampler,
     SeedWeightAccumulator,
 };
-use opad_alert::{default_rules, Rule as AlertRule};
+use opad_alert::Rule as AlertRule;
 use opad_attack::Attack;
 use opad_data::Dataset;
+use opad_detect::Detector;
 use opad_nn::Network;
 use opad_opmodel::{CentroidPartition, Density, OperationalProfile, Partition};
 use opad_par::Rng;
 use opad_reliability::{Assessment, CellReliabilityModel, GrowthTimeline, ReliabilityTarget};
 use opad_telemetry::{self as telemetry, JsonValue};
+use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Span names are `&'static str`, so per-shard spans come from a static
@@ -69,7 +75,7 @@ fn shard_span_name(shard: usize) -> &'static str {
 /// full per-round [`LoopConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedConfig {
-    /// Number of cell-space shards. `1` is the sequential reference the
+    /// Number of cell-space shards. `1` is the sequential loop the
     /// equivalence suite compares against.
     pub shards: usize,
     /// The Figure-1 loop configuration applied within each round.
@@ -123,11 +129,24 @@ pub fn shard_ranges(num_cells: usize, shards: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// The Figure-1 testing loop run as a resumable, cell-sharded campaign.
+/// A detector riding along with the campaign (shared, scored read-only).
+#[derive(Clone)]
+pub(crate) struct AttachedDetector(Arc<dyn Detector + Send + Sync>);
+
+impl fmt::Debug for AttachedDetector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "AttachedDetector({})", self.0.name())
+    }
+}
+
+/// The operational adversarial testing loop (the paper's contribution,
+/// Fig. 1), run as a resumable, cell-sharded campaign.
 ///
-/// See the module docs for the determinism contract. Construction
-/// mirrors [`TestingLoop::new`](crate::TestingLoop::new) plus a
-/// `campaign_seed` that replaces the caller-held RNG.
+/// Owns the model under test, the (learned) operational profile, the cell
+/// partition and the reliability model; each
+/// [`ShardedCampaign::run_round`] performs steps 2–5 of the workflow and
+/// records an [`Assessment`]. See the module docs for the determinism
+/// contract.
 #[derive(Debug, Clone)]
 pub struct ShardedCampaign<D> {
     pub(crate) net: Network,
@@ -143,10 +162,15 @@ pub struct ShardedCampaign<D> {
     pub(crate) rounds_run: usize,
     pub(crate) reports: Vec<RoundReport>,
     pub(crate) alert_rules: Vec<AlertRule>,
+    pub(crate) detectors: Vec<AttachedDetector>,
 }
 
 impl<D: Density> ShardedCampaign<D> {
-    /// Creates a campaign.
+    /// Creates a campaign whose every random stream derives from
+    /// `campaign_seed`.
+    ///
+    /// `field_data` (the operational dataset) defines the per-cell OP via
+    /// its empirical cell occupancy (Laplace-smoothed).
     ///
     /// # Errors
     ///
@@ -161,18 +185,10 @@ impl<D: Density> ShardedCampaign<D> {
         campaign_seed: u64,
     ) -> Result<Self, PipelineError> {
         config.validate()?;
-        if field_data.is_empty() {
-            return Err(PipelineError::InvalidConfig {
-                reason: "field data must be nonempty".into(),
-            });
-        }
+        let alert_rules = alert_pack(target.target_pfd, op.density(), field_data)?;
         let cell_op = partition.cell_distribution(field_data.features(), 0.5)?;
         let reliability = CellReliabilityModel::new(cell_op.clone())?;
         let sampler = SeedSampler::new(config.base.weighting);
-        let alert_rules = default_rules(
-            target.target_pfd,
-            naturalness_floor(op.density(), field_data)?,
-        );
         Ok(ShardedCampaign {
             net,
             op,
@@ -187,7 +203,22 @@ impl<D: Density> ShardedCampaign<D> {
             rounds_run: 0,
             reports: Vec::new(),
             alert_rules,
+            detectors: Vec::new(),
         })
+    }
+
+    /// Attaches a fitted detector: every subsequent round scores its AE
+    /// candidates through it and reports the mean suspicion per detector
+    /// on [`RoundReport::detector_scores`]. Detectors observe the round
+    /// read-only, so attaching them never perturbs sampling, fuzzing or
+    /// the reliability claim.
+    pub fn attach_detector(&mut self, detector: Arc<dyn Detector + Send + Sync>) {
+        self.detectors.push(AttachedDetector(detector));
+    }
+
+    /// Names of the attached detectors, in attachment order.
+    pub fn detector_names(&self) -> Vec<&'static str> {
+        self.detectors.iter().map(|d| d.0.name()).collect()
     }
 
     /// The model under test (read-only).
@@ -236,31 +267,84 @@ impl<D: Density> ShardedCampaign<D> {
         &self.reports
     }
 
-    /// The cell index of every row of `data`, plus the inverse map from
-    /// cell to row indices (ascending within each cell).
-    fn cell_index(&self, data: &Dataset) -> Result<(Vec<usize>, Vec<Vec<usize>>), PipelineError> {
-        let d = data.feature_dim();
-        let xs = data.features().as_slice();
-        let mut point_cells = Vec::with_capacity(data.len());
-        let mut cell_points: Vec<Vec<usize>> = vec![Vec::new(); self.partition.num_cells()];
-        for i in 0..data.len() {
-            let cell = self.partition.cell_of(&xs[i * d..(i + 1) * d])?;
-            point_cells.push(cell);
-            cell_points[cell].push(i);
-        }
-        Ok((point_cells, cell_points))
+    /// The default alert pack this campaign installs into the global
+    /// [`opad_alert`] center (when one is installed) at the top of every
+    /// round: pfd-bound breach, naturalness drift against the training
+    /// OP, dead fuzz fan-out / stalled seeds, and the stuck-phase
+    /// watchdog — parameterised on this run's own target and data.
+    pub fn alert_rules(&self) -> &[AlertRule] {
+        &self.alert_rules
     }
 
-    /// Runs one sharded round. The flow is step-for-step the one of
-    /// [`TestingLoop::run_round`](crate::TestingLoop::run_round); only
-    /// the iteration geometry differs, never the evidence.
+    /// Replaces the operational profile mid-campaign (RQ1 re-learning
+    /// after drift): recomputes the per-cell OP from `fresh_field_data`
+    /// and resets the reliability evidence, since the old demands were
+    /// drawn from a profile that no longer holds. The naturalness floor
+    /// is re-derived from the new profile. The AE corpus and the model
+    /// are kept — fixed bugs stay fixed.
+    ///
+    /// # Errors
+    ///
+    /// Fails on empty data or a degenerate profile.
+    pub fn update_profile(
+        &mut self,
+        op: OperationalProfile<D>,
+        fresh_field_data: &Dataset,
+    ) -> Result<(), PipelineError> {
+        let alert_rules = alert_pack(
+            self.timeline.target().target_pfd,
+            op.density(),
+            fresh_field_data,
+        )?;
+        self.cell_op = self
+            .partition
+            .cell_distribution(fresh_field_data.features(), 0.5)?;
+        self.reliability = CellReliabilityModel::new(self.cell_op.clone())?;
+        self.alert_rules = alert_rules;
+        self.op = op;
+        Ok(())
+    }
+
+    /// The cell of every row of `data`.
+    fn row_cells(&self, data: &Dataset) -> Result<Vec<usize>, PipelineError> {
+        let d = data.feature_dim();
+        let xs = data.features().as_slice();
+        (0..data.len())
+            .map(|i| Ok(self.partition.cell_of(&xs[i * d..(i + 1) * d])?))
+            .collect()
+    }
+
+    /// Runs one round: sample seeds (RQ2) → fuzz (RQ3) → assess (RQ5) →
+    /// retrain (RQ4). Seeds are drawn from `field_data` itself.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sampling, attack, assessment and retraining failures.
+    pub fn run_round<A: Attack + Sync>(
+        &mut self,
+        field_data: &Dataset,
+        train_data: &Dataset,
+        attack: &A,
+    ) -> Result<RoundReport, PipelineError>
+    where
+        D: Sync,
+    {
+        self.run_round_with_pool(field_data, field_data, train_data, attack)
+    }
+
+    /// Like [`ShardedCampaign::run_round`] but draws attack seeds from a
+    /// separate `seed_pool` (e.g. a balanced test set, to reproduce
+    /// OP-ignorant baselines) while operational evaluation still draws
+    /// from `field_data`. The sample step shards the pool's rows by their
+    /// own cells.
     ///
     /// # Errors
     ///
     /// Propagates sampling, attack, assessment and retraining failures
-    /// (the first error in shard order surfaces).
-    pub fn run_round<A: Attack + Sync>(
+    /// (the first error in seed or shard order surfaces).
+    pub fn run_round_with_pool<A: Attack + Sync>(
         &mut self,
+        seed_pool: &Dataset,
         field_data: &Dataset,
         train_data: &Dataset,
         attack: &A,
@@ -271,15 +355,20 @@ impl<D: Density> ShardedCampaign<D> {
         let round = self.rounds_run;
         let round_start = Instant::now();
         let _round_span = telemetry::span("round");
+        // Live observers (opad-serve `/healthz`, `/metrics`) read these
+        // gauges to report where the run currently is.
         telemetry::phase::set_round(round);
         telemetry::gauge_set("shard.count", self.config.shards as f64);
+        // If an alert center is watching this process, make sure it has
+        // the default pack for this run (idempotent by rule name, so
+        // operator-tuned overrides with the same names win).
         if let Some(center) = opad_alert::current() {
             center.ensure_rules(&self.alert_rules);
         }
         let mut step_ms = StepDurations::default();
 
-        // The campaign owns its RNG root: no caller draw, so a resumed
-        // campaign re-derives round r's streams from (seed, r) alone.
+        // No caller draw: a resumed campaign re-derives round r's streams
+        // from (seed, r) alone.
         let round_seed = opad_par::stream_seed(self.campaign_seed, round as u64);
         let mut sample_rng = purpose_rng(round_seed, PURPOSE_SAMPLE);
         let fuzz_base = opad_par::stream_seed(round_seed, PURPOSE_FUZZ);
@@ -287,9 +376,8 @@ impl<D: Density> ShardedCampaign<D> {
         let mut assess_rng = purpose_rng(round_seed, PURPOSE_ASSESS);
         let mut retrain_rng = purpose_rng(round_seed, PURPOSE_RETRAIN);
 
-        let shards = self.config.shards;
-        let ranges = shard_ranges(self.partition.num_cells(), shards);
-        let (point_cells, cell_points) = self.cell_index(field_data)?;
+        let ranges = shard_ranges(self.partition.num_cells(), self.config.shards);
+        let pool_cells = self.row_cells(seed_pool)?;
 
         // ---- Step 2: sharded weight accumulation + global sampling. ----
         let step_start = Instant::now();
@@ -303,14 +391,12 @@ impl<D: Density> ShardedCampaign<D> {
                 &ranges,
                 |s, cells: &Range<usize>| -> Result<SeedWeightAccumulator, PipelineError> {
                     let _span = telemetry::span(shard_span_name(s));
-                    telemetry::gauge_set("shard.id", s as f64);
-                    let _t = telemetry::timer("shard.task_ms");
-                    let idx: Vec<usize> = (0..field_data.len())
-                        .filter(|&i| cells.contains(&point_cells[i]))
+                    let idx: Vec<usize> = (0..seed_pool.len())
+                        .filter(|&i| cells.contains(&pool_cells[i]))
                         .collect();
                     let mut shard_net = net.clone();
                     let mut acc = sampler.accumulator();
-                    acc.accumulate(&mut shard_net, field_data, &idx, Some(density))?;
+                    acc.accumulate(&mut shard_net, seed_pool, &idx, Some(density))?;
                     Ok(acc)
                 },
             );
@@ -319,91 +405,70 @@ impl<D: Density> ShardedCampaign<D> {
                 acc.merge(&partial?)?;
                 telemetry::counter_add("shard.merges", 1);
             }
-            let mut weights = acc.finalize(field_data.len())?;
+            let mut weights = acc.finalize(seed_pool.len())?;
             if self.config.base.priority_feedback && round > 0 {
                 let priority = self.reliability.cell_priority();
                 self.sampler.apply_cell_priority(
                     &mut weights,
-                    field_data,
+                    seed_pool,
                     &self.partition,
                     &priority,
                 )?;
             }
-            let k = self.config.base.seeds_per_round.min(field_data.len());
+            let k = self.config.base.seeds_per_round.min(seed_pool.len());
             self.sampler.sample(&weights, k, &mut sample_rng)?
         };
         let k = seed_idx.len();
         step_ms.sample_seeds_ms = telemetry::ms_since(step_start);
 
-        // ---- Step 3: sharded fuzzing, seeds grouped by home cell. ----
+        // ---- Step 3: naturalness-guided fuzzing, one task per seed. ----
         let step_start = Instant::now();
-        let mut round_corpus = AeCorpus::new();
-        let d = field_data.feature_dim();
         telemetry::phase::set(telemetry::phase::FUZZ);
-        {
+        let round_corpus: AeCorpus = {
             let _span = telemetry::span("fuzz");
             let net = &self.net;
             let partition = &self.partition;
             let density = self.op.density();
-            // Each shard fuzzes the seeds whose cell it owns, gathering
-            // evidence in its own fresh model. Per-seed RNG streams are
-            // keyed by the *global* seed index, so a seed's outcome does
-            // not depend on which shard ran it.
-            type ShardCatch = (CellReliabilityModel, Vec<DetectedAe>);
-            let cell_op = &self.cell_op;
-            let ae_evidence = self.config.base.ae_evidence;
+            let d = seed_pool.feature_dim();
+            // Each seed attacks its own clone of the model on its own RNG
+            // stream keyed by seed index, so outcomes depend on neither
+            // thread count nor shard count. Attacks only touch forward
+            // caches, never weights, so the clones predict identically.
+            type SeedVerdict = (bool, Option<DetectedAe>);
             let results = opad_par::par_map(
-                &ranges,
-                |s, cells: &Range<usize>| -> Result<ShardCatch, PipelineError> {
-                    let _span = telemetry::span(shard_span_name(s));
-                    telemetry::gauge_set("shard.id", s as f64);
-                    let _t = telemetry::timer("shard.task_ms");
-                    let mut model = CellReliabilityModel::new(cell_op.clone())?;
-                    let mut aes = Vec::new();
-                    for &i in seed_idx
-                        .iter()
-                        .filter(|&&i| cells.contains(&point_cells[i]))
-                    {
-                        let mut seed_net = net.clone();
-                        let mut seed_rng =
-                            Rng::seed_from_u64(opad_par::stream_seed(fuzz_base, i as u64));
-                        let (seed, label) = field_data.sample(i)?;
-                        let outcome = attack.run(&mut seed_net, &seed, label, &mut seed_rng)?;
-                        let seed_cell = point_cells[i];
-                        let seed_pred = {
-                            let batch = seed.reshape(&[1, d])?;
-                            seed_net.predict_labels(&batch)?[0]
-                        };
-                        model.observe(seed_cell, seed_pred != label)?;
-                        telemetry::counter_add("shard.demands", 1);
-                        if let Some(ae) =
-                            classify_outcome(i, &seed, label, &outcome, density, partition)?
-                        {
-                            if ae_evidence {
-                                model.observe(ae.cell, true)?;
-                            }
-                            aes.push(ae);
-                        }
-                    }
-                    Ok((model, aes))
+                &seed_idx,
+                |_, &i: &usize| -> Result<SeedVerdict, PipelineError> {
+                    let mut seed_net = net.clone();
+                    let mut seed_rng =
+                        Rng::seed_from_u64(opad_par::stream_seed(fuzz_base, i as u64));
+                    let (seed, label) = seed_pool.sample(i)?;
+                    let outcome = attack.run(&mut seed_net, &seed, label, &mut seed_rng)?;
+                    let seed_pred = seed_net.predict_labels(&seed.reshape(&[1, d])?)?[0];
+                    let ae = classify_outcome(i, &seed, label, &outcome, density, partition)?;
+                    Ok((seed_pred != label, ae))
                 },
             );
-            // Fold in shard order; counts are integers, so the merged
-            // posterior is independent of the grouping. AEs enter the
-            // corpus in canonical (seed-index) order so retraining sees
-            // the same batch at every shard count.
-            let mut all_aes: Vec<DetectedAe> = Vec::new();
-            for result in results {
-                let (model, aes) = result?;
-                self.reliability.merge(&model)?;
-                telemetry::counter_add("shard.merges", 1);
-                all_aes.extend(aes);
+            // Evidence is observed serially in seed order — the seed itself
+            // is an operational demand — and the first error by seed order
+            // is the one that surfaces. Counts are integers, so the
+            // posterior does not depend on the order either.
+            let mut aes = Vec::new();
+            for (&i, result) in seed_idx.iter().zip(results) {
+                let (seed_failed, ae) = result?;
+                self.reliability.observe(pool_cells[i], seed_failed)?;
+                if let Some(ae) = ae {
+                    if self.config.base.ae_evidence {
+                        self.reliability.observe(ae.cell, true)?;
+                    }
+                    aes.push(ae);
+                }
             }
-            all_aes.sort_by_key(|ae| ae.seed_index);
-            for ae in all_aes {
-                round_corpus.push(ae);
-            }
-        }
+            telemetry::counter_add("shard.demands", k as u64);
+            // AEs enter the corpus in seed-index order, not sampling
+            // order: retraining batches and checkpointed corpora follow it.
+            aes.sort_by_key(|ae| ae.seed_index);
+            aes.into_iter().collect()
+        };
         step_ms.fuzz_ms = telemetry::ms_since(step_start);
         let aes_found = round_corpus.len();
         telemetry::counter_add("pipeline.seeds_attacked", k as u64);
@@ -414,25 +479,50 @@ impl<D: Density> ShardedCampaign<D> {
         );
         self.corpus.extend_from(&round_corpus);
 
+        // ---- Detector plane: score this round's AE candidates through
+        // every attached detector. Serial, in corpus (= seed-index) order,
+        // so the reported means are byte-identical at any thread count. ----
+        let mut detector_scores = Vec::with_capacity(self.detectors.len());
+        for det in &self.detectors {
+            let mut total = 0.0f64;
+            for ae in round_corpus.aes() {
+                let s = det.0.score(ae.candidate.as_slice())?;
+                telemetry::histogram_record("detector.score", s);
+                total += s;
+            }
+            telemetry::counter_add("detector.scored", aes_found as u64);
+            detector_scores.push(DetectorRoundScore {
+                detector: det.0.name().to_string(),
+                mean_score: if aes_found == 0 {
+                    0.0
+                } else {
+                    total / aes_found as f64
+                },
+                scored: aes_found,
+            });
+        }
+
         // ---- Step 5a: sharded operational evaluation. ----
         // The eval budget is apportioned to cells by OP mass (largest
         // remainder), and every cell draws demands from its own stream —
-        // a per-cell keying that makes the step shardable at all, where
-        // the sequential loop's single draw sequence would not be.
+        // the per-cell keying that makes the step shardable.
         let step_start = Instant::now();
         telemetry::phase::set(telemetry::phase::EVALUATE);
         let op_accuracy = {
             let _span = telemetry::span("evaluate");
+            let mut cell_points: Vec<Vec<usize>> = vec![Vec::new(); self.partition.num_cells()];
+            for (i, cell) in self.row_cells(field_data)?.into_iter().enumerate() {
+                cell_points[cell].push(i);
+            }
             let quota = apportion(&self.cell_op, self.config.base.eval_per_round);
             let net = &self.net;
+            let d = field_data.feature_dim();
             type ShardEval = (CellReliabilityModel, u64, u64);
             let cell_op = &self.cell_op;
             let results = opad_par::par_map(
                 &ranges,
                 |s, cells: &Range<usize>| -> Result<ShardEval, PipelineError> {
                     let _span = telemetry::span(shard_span_name(s));
-                    telemetry::gauge_set("shard.id", s as f64);
-                    let _t = telemetry::timer("shard.task_ms");
                     let mut model = CellReliabilityModel::new(cell_op.clone())?;
                     let mut shard_net = net.clone();
                     let (mut correct, mut attempted) = (0u64, 0u64);
@@ -446,10 +536,7 @@ impl<D: Density> ShardedCampaign<D> {
                         for _ in 0..quota[cell] {
                             let i = pts[cell_rng.gen_range(0..pts.len())];
                             let (x, label) = field_data.sample(i)?;
-                            let pred = {
-                                let batch = x.reshape(&[1, d])?;
-                                shard_net.predict_labels(&batch)?[0]
-                            };
+                            let pred = shard_net.predict_labels(&x.reshape(&[1, d])?)?[0];
                             let failed = pred != label;
                             model.observe(cell, failed)?;
                             telemetry::counter_add("shard.demands", 1);
@@ -497,11 +584,16 @@ impl<D: Density> ShardedCampaign<D> {
         step_ms.assess_ms = telemetry::ms_since(step_start);
         telemetry::gauge_set("pipeline.pfd_mean", pfd_mean);
         telemetry::gauge_set("pipeline.pfd_upper", pfd_upper);
+        // The reliability claim under its own namespace, so dashboards
+        // watching the paper's convergence criterion need only this one.
         telemetry::gauge_set("reliability.pfd_mean", pfd_mean);
-        // Round boundary → history-plane sample (see run_round).
+        // Snapshot the freshly assessed gauges into the history plane
+        // immediately: the round boundary is the trajectory point that
+        // matters, not wherever the sampler's cadence happens to land.
         opad_tsdb::pulse();
 
-        // ---- Step 4: global retrain on the canonical corpus. ----
+        // ---- Step 4: retrain on the cumulative corpus (skipped once the
+        // target is met — testing stops). ----
         let step_start = Instant::now();
         if !target_met {
             telemetry::phase::set(telemetry::phase::RETRAIN);
@@ -530,10 +622,7 @@ impl<D: Density> ShardedCampaign<D> {
             pfd_upper,
             op_accuracy,
             target_met,
-            // Sharded campaigns carry no detector bank (detectors attach
-            // to single-loop runs); an empty list keeps report equality
-            // meaningful against unsharded runs without detectors.
-            detector_scores: Vec::new(),
+            detector_scores,
             wall_ms: telemetry::ms_since(round_start),
             step_ms,
         };

@@ -1,14 +1,16 @@
-//! End-to-end check that one `TestingLoop::run_round` emits the telemetry
-//! the observability docs promise: a `round` span wrapping one child span
-//! per Fig.-1 step, and counters that agree with the returned
-//! [`RoundReport`].
+//! End-to-end check that one `ShardedCampaign::run_round` emits the
+//! telemetry the observability docs promise: a `round` span wrapping one
+//! child span per Fig.-1 step, counters that agree with the returned
+//! [`RoundReport`], and a `pipeline.naturalness_floor` gauge published by
+//! both `new` and `resume`.
 //!
 //! The global recorder is process-wide state, so everything lives in one
 //! test function — integration tests run in their own process, keeping
 //! this isolated from the library's unit tests.
 
+use opad_alert::{pack::NATURALNESS_DRIFT, Condition};
 use opad_attack::{NormBall, Pgd};
-use opad_core::{LoopConfig, RetrainConfig, TestingLoop};
+use opad_core::{LoopConfig, RetrainConfig, RoundReport, ShardedCampaign, ShardedConfig};
 use opad_data::{gaussian_clusters, uniform_probs, zipf_probs, GaussianClustersConfig};
 use opad_nn::{Activation, Network, Optimizer, TrainConfig, Trainer};
 use opad_opmodel::{learn_op_gmm, CentroidPartition};
@@ -29,6 +31,15 @@ const STEP_SPANS: [&str; 6] = [
     "retrain",
     "round",
 ];
+
+/// The `naturalness_drift` rule's threshold.
+fn drift_threshold(rules: &[opad_alert::Rule]) -> f64 {
+    let rule = rules.iter().find(|r| r.name == NATURALNESS_DRIFT).unwrap();
+    match rule.condition {
+        Condition::HistQuantile { threshold, .. } => threshold,
+        ref other => panic!("unexpected drift condition {other:?}"),
+    }
+}
 
 #[test]
 fn run_round_emits_expected_spans_and_counters() {
@@ -61,9 +72,24 @@ fn run_round_emits_expected_spans_and_counters() {
         ..Default::default()
     };
     let target = ReliabilityTarget::new(1e-4, 0.95).unwrap(); // unreachable: retrain runs
-    let mut lp = TestingLoop::new(net, op, partition, &field, target, config).unwrap();
+    let config = ShardedConfig {
+        shards: 1,
+        base: config,
+    };
+    let (op2, partition2) = (op.clone(), partition.clone());
+    let mut lp = ShardedCampaign::new(net, op, partition, &field, target, config, 11).unwrap();
+    // The history plane needs the drift threshold from the first round on.
+    let floor = drift_threshold(lp.alert_rules());
+    assert_eq!(recorder.gauge("pipeline.naturalness_floor"), Some(floor));
     let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 10, 0.08).unwrap();
-    let report = lp.run_round(&field, &train, &attack, &mut rng).unwrap();
+    let report: RoundReport = lp.run_round(&field, &train, &attack).unwrap();
+
+    // A resumed campaign publishes its floor again: clobber the gauge so
+    // only resume's own write can restore it.
+    telemetry::gauge_set("pipeline.naturalness_floor", 0.0);
+    let resumed = ShardedCampaign::resume(op2, partition2, &field, lp.checkpoint()).unwrap();
+    assert_eq!(drift_threshold(resumed.alert_rules()), floor);
+    assert_eq!(recorder.gauge("pipeline.naturalness_floor"), Some(floor));
     telemetry::uninstall();
 
     // --- span structure ---------------------------------------------------

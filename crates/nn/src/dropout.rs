@@ -84,15 +84,30 @@ impl Dropout {
         self.cached_mask = None;
     }
 
-    /// The rate as JSON. The generator is not written: a restored layer
-    /// draws its masks from seed 0.
+    /// The rate and the mask generator's four state words as JSON, so a
+    /// restored layer draws the masks the original would have drawn next.
     pub(crate) fn to_json(&self) -> JsonValue {
-        JsonValue::obj([("rate", self.rate.into())])
+        JsonValue::obj([
+            ("rate", self.rate.into()),
+            ("rng", JsonValue::arr(self.rng.state())),
+        ])
     }
 
     /// Reads [`Dropout::to_json`] output.
+    ///
+    /// # Errors
+    ///
+    /// When the rate is invalid or the generator state is missing, is not
+    /// four words, or is all zero.
     pub(crate) fn from_json(v: &JsonValue) -> Result<Self, String> {
-        Dropout::new(v.field("rate")?.to_f32()?, 0).map_err(|e| e.to_string())
+        let mut layer = Dropout::new(v.field("rate")?.to_f32()?, 0).map_err(|e| e.to_string())?;
+        let words: [u64; 4] = v
+            .field("rng")?
+            .to_vec(JsonValue::to_u64)?
+            .try_into()
+            .map_err(|w: Vec<u64>| format!("dropout rng state has {} words, not 4", w.len()))?;
+        layer.rng = Rng::from_state(words).ok_or("dropout rng state is all zero")?;
+        Ok(layer)
     }
 }
 

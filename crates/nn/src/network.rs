@@ -609,6 +609,57 @@ mod tests {
     }
 
     #[test]
+    fn dropout_network_trains_on_identically_after_a_json_round_trip() {
+        use crate::{Optimizer, TrainConfig, Trainer};
+        let mut r = rng();
+        let mut net = Network::new(vec![
+            Layer::Dense(Dense::new(2, 8, &mut r)),
+            Layer::Activation(ActivationLayer::new(Activation::Relu)),
+            Layer::Dropout(Dropout::new(0.5, 9).unwrap()),
+            Layer::Dense(Dense::new(8, 3, &mut r)),
+        ])
+        .unwrap();
+        let x = Tensor::rand_normal(&[32, 2], 0.0, 1.0, &mut r);
+        let labels: Vec<usize> = (0..32).map(|i| i % 3).collect();
+        let train = |net: &mut Network, epochs: usize| {
+            Trainer::new(TrainConfig::new(epochs, 8), Optimizer::sgd(0.1))
+                .fit(
+                    net,
+                    &x,
+                    &labels,
+                    None,
+                    &mut Rng::seed_from_u64(epochs as u64),
+                )
+                .unwrap();
+        };
+        train(&mut net, 2);
+        // Saved after two epochs, restored, and both trained one more
+        // epoch on the same stream: the masks, hence the weights, agree.
+        let mut restored = Network::from_json(&net.to_json()).unwrap();
+        train(&mut net, 1);
+        train(&mut restored, 1);
+        assert_eq!(restored.to_json().to_string(), net.to_json().to_string());
+
+        // A missing, short or all-zero generator state is rejected.
+        let layer = |body: &str| {
+            let text = format!("{{\"layers\":[{{\"Dropout\":{body}}}]}}");
+            Network::from_json(&opad_telemetry::parse_json(&text).unwrap())
+        };
+        assert!(layer("{\"rate\":0.5,\"rng\":[1,2,3,4]}").is_ok());
+        for bad in [
+            "{\"rate\":0.5}",
+            "{\"rate\":0.5,\"rng\":[1,2,3]}",
+            "{\"rate\":0.5,\"rng\":[0,0,0,0]}",
+            "{\"rate\":0.5,\"rng\":[1,2,3,-4]}",
+        ] {
+            assert!(
+                matches!(layer(bad), Err(NnError::InvalidConfig { .. })),
+                "{bad} accepted"
+            );
+        }
+    }
+
+    #[test]
     fn forward_infer_is_bit_identical_to_inference_forward() {
         let mut r = rng();
         // A stack covering every layer kind, dropout included (identity

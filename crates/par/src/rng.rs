@@ -37,6 +37,18 @@ impl Rng {
         Rng { s }
     }
 
+    /// A generator resumed from [`Rng::state`] output, `None` for the
+    /// all-zero state (xoshiro256++ would only ever return zeros from it).
+    pub fn from_state(s: [u64; 4]) -> Option<Rng> {
+        (s != [0; 4]).then_some(Rng { s })
+    }
+
+    /// The four state words: `Rng::from_state(rng.state())` continues
+    /// `rng`'s stream exactly.
+    pub fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
     /// The next 64 uniformly random bits.
     pub fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.s;
@@ -190,6 +202,15 @@ mod tests {
         assert_eq!(rng.s[0], 0xe220_a839_7b1d_cdaf);
         assert_eq!(rng.s[1], splitmix64(GOLDEN_GAMMA));
         assert_eq!(rng.s[3], splitmix64(3u64.wrapping_mul(GOLDEN_GAMMA)));
+    }
+
+    #[test]
+    fn state_round_trips_and_rejects_all_zero() {
+        let mut a = Rng::seed_from_u64(5);
+        a.next_u64();
+        let mut b = Rng::from_state(a.state()).unwrap();
+        assert_eq!(a.next_u64(), b.next_u64());
+        assert!(Rng::from_state([0; 4]).is_none());
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub const KNOWN_METRICS: &[(&str, MetricKind)] = &[
     ("pipeline.round", MetricKind::Gauge),
     ("reliability.pfd_mean", MetricKind::Gauge),
     ("shard.count", MetricKind::Gauge),
-    ("shard.id", MetricKind::Gauge),
     // Histograms.
     ("attack.fuzz.naturalness", MetricKind::Histogram),
     ("attack.pgd.iters_to_success", MetricKind::Histogram),
@@ -68,7 +67,6 @@ pub const KNOWN_METRICS: &[(&str, MetricKind)] = &[
     ("nn.train.epoch_ms", MetricKind::Histogram),
     ("par.task_us", MetricKind::Histogram),
     ("reliability.pfd_upper_ms", MetricKind::Histogram),
-    ("shard.task_ms", MetricKind::Histogram),
     ("tensor.matmul_ms", MetricKind::Histogram),
     ("tsdb.query_us", MetricKind::Histogram),
 ];

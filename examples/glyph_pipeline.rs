@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net.accuracy(field.features(), field.labels())?,
     );
 
-    // Learn the OP (KDE works well in pixel space) and build the loop.
+    // Learn the OP (KDE works well in pixel space) and build the campaign.
     let op = learn_op_kde(&field)?;
     let partition = CentroidPartition::fit(field.features(), 12, 15, &mut rng)?;
     let target = ReliabilityTarget::new(0.05, 0.90)?;
@@ -56,13 +56,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_rounds: 4,
         mc_samples: 1500,
     };
-    let mut testing = TestingLoop::new(net, op, partition, &field, target, config)?;
+    let config = ShardedConfig {
+        shards: 1,
+        base: config,
+    };
+    let mut testing = ShardedCampaign::new(net, op, partition, &field, target, config, 23)?;
 
     // Pixel-space attack: small L∞ ball, clipped to valid pixel range.
     let attack = Pgd::new(NormBall::linf(0.12)?, 12, 0.03)?.with_clip(0.0, 1.0)?;
 
     println!("\nround | seeds | AEs | op-mass | pfd-mean | pfd-95%UB | op-acc | stop");
-    let reports = testing.run(&field, &train, &attack, &mut rng)?;
+    let reports = testing.run(&field, &train, &attack)?;
     for r in &reports {
         println!(
             "{:5} | {:5} | {:3} | {:7.3} | {:8.4} | {:9.4} | {:6.3} | {}",

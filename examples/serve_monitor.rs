@@ -134,11 +134,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_rounds: 5,
         ..Default::default()
     };
-    let mut testing = TestingLoop::new(net, op, partition, &field, target, config)?;
+    let config = ShardedConfig {
+        shards: 1,
+        base: config,
+    };
+    let mut testing = ShardedCampaign::new(net, op, partition, &field, target, config, 42)?;
     let attack = Pgd::new(NormBall::linf(0.4)?, 15, 0.08)?;
 
     println!("\nround | seeds | AEs | pfd-mean | pfd-90%UB | stop");
-    let reports = testing.run(&field, &train, &attack, &mut rng)?;
+    let reports = testing.run(&field, &train, &attack)?;
     for r in &reports {
         println!(
             "{:5} | {:5} | {:3} | {:8.4} | {:9.4} | {}",

@@ -39,9 +39,10 @@ OPAD_THREADS=4 cargo test -q
 echo "==> telemetry suite, release"
 cargo test --release -q -p opad-telemetry
 
-# Shard conformance is the campaign engine's headline contract: the same
-# campaign must be bit-identical at 1/2/4/8 shards under both pool
-# widths, and a frozen CKPT_<seq>.json must thaw into a byte-identical
+# Shard conformance is the testing loop's headline contract: the same
+# campaign must be bit-identical at 1/2/4/8 shards and 1/2/4/8 threads
+# (pinned per test), detectors and seed pools included, under both pool
+# widths; and a frozen CKPT_<seq>.json must thaw into a byte-identical
 # finish. Both suites run inside the full tree above; naming them here
 # keeps the gate explicit when the tree grows.
 echo "==> shard equivalence (bit-exact at shards {1,2,4,8}, OPAD_THREADS=1)"
@@ -132,6 +133,11 @@ cargo fmt --check
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
+# The glyph world through the loop: the only run of the campaign with a
+# conv net and a KDE profile. It writes no files.
+echo "==> glyph_pipeline example (the Fig.-1 loop on 12x12 glyphs, conv net, KDE profile)"
+cargo run --release -q --example glyph_pipeline
 
 # The example runs with the server held open afterwards so obsctl can
 # watch its /timeseries live — the end-to-end smoke for the history

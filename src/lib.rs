@@ -79,7 +79,7 @@ pub mod prelude {
         classify_outcome, read_checkpoint, retrain_with_aes, shard_ranges, AeCorpus,
         CampaignCheckpoint, DetectedAe, DetectorRoundScore, LoopConfig, PipelineError,
         RetrainConfig, RoundReport, SeedSampler, SeedWeightAccumulator, SeedWeighting,
-        ShardedCampaign, ShardedConfig, TestingLoop,
+        ShardedCampaign, ShardedConfig,
     };
     pub use opad_data::{
         gaussian_clusters, glyphs, rings, two_moons, uniform_probs, zipf_probs, Dataset,

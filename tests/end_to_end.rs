@@ -12,6 +12,21 @@ struct World {
     partition: CentroidPartition,
 }
 
+/// A 1-shard campaign over the world's field data.
+fn campaign(
+    w: &World,
+    target: ReliabilityTarget,
+    config: LoopConfig,
+    campaign_seed: u64,
+) -> ShardedCampaign<Gmm> {
+    let config = ShardedConfig {
+        shards: 1,
+        base: config,
+    };
+    let (net, op, partition) = (w.net.clone(), w.op.clone(), w.partition.clone());
+    ShardedCampaign::new(net, op, partition, &w.field, target, config, campaign_seed).unwrap()
+}
+
 fn build_world(seed: u64) -> World {
     let mut rng = Rng::seed_from_u64(seed);
     let cfg = GaussianClustersConfig {
@@ -51,10 +66,9 @@ fn full_loop_runs_and_reports_consistently() {
         },
         ..Default::default()
     };
-    let mut lp = TestingLoop::new(w.net, w.op, w.partition, &w.field, target, config).unwrap();
+    let mut lp = campaign(&w, target, config, 2);
     let attack = Pgd::new(NormBall::linf(0.35).unwrap(), 12, 0.08).unwrap();
-    let mut rng = Rng::seed_from_u64(2);
-    let reports = lp.run(&w.field, &w.train, &attack, &mut rng).unwrap();
+    let reports = lp.run(&w.field, &w.train, &attack).unwrap();
     assert_eq!(reports.len(), 3, "hard target runs every round");
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(r.round, i);
@@ -183,10 +197,9 @@ fn loop_is_deterministic_across_identical_runs() {
             },
             ..Default::default()
         };
-        let mut lp = TestingLoop::new(w.net, w.op, w.partition, &w.field, target, config).unwrap();
+        let mut lp = campaign(&w, target, config, 1234);
         let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 8, 0.08).unwrap();
-        let mut rng = Rng::seed_from_u64(1234);
-        lp.run(&w.field, &w.train, &attack, &mut rng).unwrap()
+        lp.run(&w.field, &w.train, &attack).unwrap()
     };
     let a = run(7);
     let b = run(7);
@@ -197,8 +210,8 @@ fn loop_is_deterministic_across_identical_runs() {
 
 #[test]
 fn detector_plane_scores_every_round() {
-    // Detectors attached to the loop score each round's fresh AEs and the
-    // per-round summary lands on RoundReport::detector_scores in
+    // Detectors attached to the campaign score each round's fresh AEs
+    // and the per-round summary lands on RoundReport::detector_scores in
     // attachment order.
     use std::sync::Arc;
     let w = build_world(11);
@@ -217,22 +230,13 @@ fn detector_plane_scores_every_round() {
     let mut magnet = Magnet::new(2, 1).unwrap();
     magnet.fit(&w.field).unwrap();
     let op_density = OpDensityDetector::new(w.op.density().clone());
-    let mut lp = TestingLoop::new(
-        w.net.clone(),
-        w.op.clone(),
-        w.partition.clone(),
-        &w.field,
-        target,
-        config,
-    )
-    .unwrap();
+    let mut lp = campaign(&w, target, config, 12);
     lp.attach_detector(Arc::new(magnet));
     lp.attach_detector(Arc::new(op_density));
     assert_eq!(lp.detector_names(), vec!["magnet", "op_density"]);
 
     let attack = Pgd::new(NormBall::linf(0.35).unwrap(), 12, 0.08).unwrap();
-    let mut rng = Rng::seed_from_u64(12);
-    let reports = lp.run(&w.field, &w.train, &attack, &mut rng).unwrap();
+    let reports = lp.run(&w.field, &w.train, &attack).unwrap();
     assert_eq!(reports.len(), 2);
     for r in &reports {
         assert_eq!(r.detector_scores.len(), 2, "one summary per detector");

@@ -3,11 +3,12 @@
 //! The headline guarantee of `opad-par`: the same configuration and seed
 //! produce **byte-identical** results at any `OPAD_THREADS`. Each parallel
 //! kernel (tensor matmul, conv2d forward, OP density batches, cell
-//! occupancy counts, Monte-Carlo pfd sampling) and the full two-round
-//! testing loop are run at thread counts {1, 2, 4, 8} and compared at the
-//! bit level — floating-point results via `to_bits`, round reports via
+//! occupancy counts, Monte-Carlo pfd sampling) and a full two-round,
+//! 1-shard campaign are run at thread counts {1, 2, 4, 8} and compared at
+//! the bit level — floating-point results via `to_bits`, round reports via
 //! their serialized bytes with the (legitimately nondeterministic) timing
-//! fields zeroed.
+//! fields zeroed. `shard_equivalence.rs` crosses the same thread counts
+//! with shard counts.
 
 use opad::prelude::*;
 use opad_par::Rng;
@@ -137,73 +138,10 @@ fn pfd_sampling_is_thread_count_invariant() {
     }
 }
 
-/// Builds the world and runs a complete two-round testing loop, returning
+/// Builds the world and runs a complete two-round, 1-shard campaign,
+/// optionally with MagNet and the OP-density detector attached, returning
 /// the round reports.
-fn run_pipeline() -> Vec<RoundReport> {
-    let mut rng = Rng::seed_from_u64(17);
-    let cfg = GaussianClustersConfig {
-        separation: 2.0,
-        std: 0.9,
-        ..Default::default()
-    };
-    let train = gaussian_clusters(&cfg, 240, &uniform_probs(3), &mut rng).unwrap();
-    let field = gaussian_clusters(&cfg, 400, &zipf_probs(3, 1.5), &mut rng).unwrap();
-    let mut net = Network::mlp(&[2, 16, 3], Activation::Relu, &mut rng).unwrap();
-    Trainer::new(TrainConfig::new(12, 32), Optimizer::adam(0.01))
-        .fit(&mut net, train.features(), train.labels(), None, &mut rng)
-        .unwrap();
-    let op = learn_op_gmm(&field, 3, 10, &mut rng).unwrap();
-    let partition = CentroidPartition::fit(field.features(), 8, 15, &mut rng).unwrap();
-    let target = ReliabilityTarget::new(1e-5, 0.95).unwrap();
-    let config = LoopConfig {
-        seeds_per_round: 10,
-        eval_per_round: 50,
-        max_rounds: 2,
-        mc_samples: 500,
-        retrain: RetrainConfig {
-            epochs: 3,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut lp = TestingLoop::new(net, op, partition, &field, target, config).unwrap();
-    let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 10, 0.08).unwrap();
-    let mut loop_rng = Rng::seed_from_u64(1234);
-    lp.run(&field, &train, &attack, &mut loop_rng).unwrap()
-}
-
-/// Renders the reports with the timing fields zeroed, so the comparison
-/// is byte-exact on everything determinism promises (`{:?}` writes every
-/// f64 in its shortest round-trip form, so it is exact).
-fn report_bytes(reports: &[RoundReport]) -> String {
-    let mut reports = reports.to_vec();
-    for r in &mut reports {
-        r.wall_ms = 0.0;
-        r.step_ms = Default::default();
-    }
-    format!("{reports:?}")
-}
-
-#[test]
-fn full_pipeline_reports_are_byte_identical_at_any_thread_count() {
-    let serial = at(1, run_pipeline);
-    assert_eq!(serial.len(), 2, "hard target runs both rounds");
-    let serial_bytes = report_bytes(&serial);
-    for t in PAR_THREADS {
-        let par = at(t, run_pipeline);
-        assert_eq!(serial, par, "round reports differ at {t} threads");
-        assert_eq!(
-            serial_bytes,
-            report_bytes(&par),
-            "serialized reports differ at {t} threads"
-        );
-    }
-}
-
-/// Same two-round loop, but with the detector plane attached: a fitted
-/// MagNet reconstructor and the OP-density detector both score every
-/// round's AE corpus and their per-round means ride on the reports.
-fn run_pipeline_with_detectors() -> Vec<RoundReport> {
+fn run_pipeline(with_detectors: bool) -> Vec<RoundReport> {
     use std::sync::Arc;
     let mut rng = Rng::seed_from_u64(17);
     let cfg = GaussianClustersConfig {
@@ -220,31 +158,63 @@ fn run_pipeline_with_detectors() -> Vec<RoundReport> {
     let op = learn_op_gmm(&field, 3, 10, &mut rng).unwrap();
     let partition = CentroidPartition::fit(field.features(), 8, 15, &mut rng).unwrap();
     let target = ReliabilityTarget::new(1e-5, 0.95).unwrap();
-    let config = LoopConfig {
-        seeds_per_round: 10,
-        eval_per_round: 50,
-        max_rounds: 2,
-        mc_samples: 500,
-        retrain: RetrainConfig {
-            epochs: 3,
+    let config = ShardedConfig {
+        shards: 1,
+        base: LoopConfig {
+            seeds_per_round: 10,
+            eval_per_round: 50,
+            max_rounds: 2,
+            mc_samples: 500,
+            retrain: RetrainConfig {
+                epochs: 3,
+                ..Default::default()
+            },
             ..Default::default()
         },
-        ..Default::default()
     };
-    let mut magnet = Magnet::new(2, 1).unwrap();
-    magnet.fit(&field).unwrap();
     let op_density = OpDensityDetector::new(op.density().clone());
-    let mut lp = TestingLoop::new(net, op, partition, &field, target, config).unwrap();
-    lp.attach_detector(Arc::new(magnet));
-    lp.attach_detector(Arc::new(op_density));
+    let mut lp = ShardedCampaign::new(net, op, partition, &field, target, config, 1234).unwrap();
+    if with_detectors {
+        let mut magnet = Magnet::new(2, 1).unwrap();
+        magnet.fit(&field).unwrap();
+        lp.attach_detector(Arc::new(magnet));
+        lp.attach_detector(Arc::new(op_density));
+    }
     let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 10, 0.08).unwrap();
-    let mut loop_rng = Rng::seed_from_u64(1234);
-    lp.run(&field, &train, &attack, &mut loop_rng).unwrap()
+    lp.run(&field, &train, &attack).unwrap()
+}
+
+/// Renders the reports with the timing fields zeroed, so the comparison
+/// is byte-exact on everything determinism promises (`{:?}` writes every
+/// f64 in its shortest round-trip form, so it is exact).
+fn report_bytes(reports: &[RoundReport]) -> String {
+    let mut reports = reports.to_vec();
+    for r in &mut reports {
+        r.wall_ms = 0.0;
+        r.step_ms = Default::default();
+    }
+    format!("{reports:?}")
+}
+
+#[test]
+fn full_pipeline_reports_are_byte_identical_at_any_thread_count() {
+    let serial = at(1, || run_pipeline(false));
+    assert_eq!(serial.len(), 2, "hard target runs both rounds");
+    let serial_bytes = report_bytes(&serial);
+    for t in PAR_THREADS {
+        let par = at(t, || run_pipeline(false));
+        assert_eq!(serial, par, "round reports differ at {t} threads");
+        assert_eq!(
+            serial_bytes,
+            report_bytes(&par),
+            "serialized reports differ at {t} threads"
+        );
+    }
 }
 
 #[test]
 fn detector_scores_in_round_reports_are_byte_identical_at_any_thread_count() {
-    let serial = at(1, run_pipeline_with_detectors);
+    let serial = at(1, || run_pipeline(true));
     assert_eq!(serial.len(), 2, "hard target runs both rounds");
     for r in &serial {
         assert_eq!(r.detector_scores.len(), 2, "both detectors report");
@@ -258,7 +228,7 @@ fn detector_scores_in_round_reports_are_byte_identical_at_any_thread_count() {
         .collect();
     let serial_bytes = report_bytes(&serial);
     for t in PAR_THREADS {
-        let par = at(t, run_pipeline_with_detectors);
+        let par = at(t, || run_pipeline(true));
         let par_bits: Vec<u64> = par
             .iter()
             .flat_map(|r| r.detector_scores.iter().map(|ds| ds.mean_score.to_bits()))

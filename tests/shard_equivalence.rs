@@ -1,18 +1,20 @@
-//! Shard-conformance suite for the sharded campaign engine.
+//! Shard-conformance suite for the testing loop, `ShardedCampaign`.
 //!
-//! The headline guarantee of `ShardedCampaign`: the same configuration
-//! and campaign seed produce **bit-identical** results at any shard
-//! count and any `OPAD_THREADS` — the merged pfd posterior down to the
-//! bits of every per-cell Beta, and the full `RoundReport` stream down
-//! to its serialized bytes (timing fields excepted, as in
-//! `par_equivalence.rs`). Shard counts {1, 2, 4, 8} are crossed with
-//! thread counts {1, 4}; the 1-shard campaign is the reference.
+//! Its headline guarantee: the same configuration and campaign seed
+//! produce **bit-identical** results at any shard count and any
+//! `OPAD_THREADS` — the merged pfd posterior down to the bits of every
+//! per-cell Beta, and the full `RoundReport` stream down to its
+//! serialized bytes (timing fields excepted), attached detectors' scores
+//! and separate seed pools included. Shard counts {1, 2, 4, 8} are
+//! crossed with thread counts {1, 2, 4, 8}; the 1-shard campaign on one
+//! thread is the reference.
 
 use opad::prelude::*;
 use opad_par::Rng;
+use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const THREAD_COUNTS: [usize; 2] = [1, 4];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs `f` with the worker pool pinned to `threads`.
 fn at<T>(threads: usize, f: impl FnOnce() -> T) -> T {
@@ -20,8 +22,7 @@ fn at<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// The shared world: trained net, learned OP, partition, field data —
-/// the same construction as `par_equivalence.rs`'s pipeline world.
+/// The shared world: trained net, learned OP, partition, field data.
 struct World {
     net: Network,
     op: OperationalProfile<Gmm>,
@@ -120,27 +121,96 @@ fn posterior_fingerprint(c: &ShardedCampaign<Gmm>) -> (Vec<(u64, u64)>, Vec<u64>
 #[test]
 fn campaigns_are_bit_identical_at_any_shard_and_thread_count() {
     // Hard target: both rounds run, retraining included — the reports
-    // (pfd posterior summaries among them) carry the determinism claim.
+    // (pfd posterior summaries among them) and the retrained network
+    // carry the determinism claim.
     let w = world();
-    let run = |shards: usize| {
-        let mut c = campaign(&w, shards, 1e-5);
-        c.run(&w.field, &w.train, &attack()).unwrap()
+    let mut magnet = Magnet::new(2, 1).unwrap();
+    magnet.fit(&w.field).unwrap();
+    let detectors: [Arc<dyn Detector + Send + Sync>; 2] = [
+        Arc::new(magnet),
+        Arc::new(OpDensityDetector::new(w.op.density().clone())),
+    ];
+    let pool = {
+        let mut rng = Rng::seed_from_u64(29);
+        let cfg = GaussianClustersConfig {
+            separation: 2.0,
+            std: 0.9,
+            ..Default::default()
+        };
+        gaussian_clusters(&cfg, 150, &uniform_probs(3), &mut rng).unwrap()
     };
-    let ref_reports = at(1, || run(1));
-    assert_eq!(ref_reports.len(), 2, "hard target runs both rounds");
-    let ref_bytes = report_bytes(&ref_reports);
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            let reports = at(threads, || run(shards));
-            assert_eq!(
-                reports, ref_reports,
-                "round reports differ at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                report_bytes(&reports),
-                ref_bytes,
-                "serialized reports differ at {shards} shards / {threads} threads"
-            );
+    let plain = |shards: usize| {
+        let mut c = campaign(&w, shards, 1e-5);
+        c.run(&w.field, &w.train, &attack()).unwrap();
+        c
+    };
+    // MagNet and the OP-density detector score every round's AE corpus;
+    // their per-round means ride on the reports.
+    let with_detectors = |shards: usize| {
+        let mut c = campaign(&w, shards, 1e-5);
+        for d in &detectors {
+            c.attach_detector(d.clone());
+        }
+        assert_eq!(c.detector_names(), vec!["magnet", "op_density"]);
+        for r in c.run(&w.field, &w.train, &attack()).unwrap() {
+            assert_eq!(r.detector_scores.len(), 2, "both detectors report");
+            for ds in &r.detector_scores {
+                assert_eq!(ds.scored, r.aes_found);
+                assert!(ds.mean_score.is_finite());
+            }
+        }
+        c
+    };
+    // E7's OP-blind arm: seeds come from a balanced pool, whose rows the
+    // sample step shards by their own cells, while evaluation still
+    // draws from the field data.
+    let with_seed_pool = |shards: usize| {
+        let mut c = campaign(&w, shards, 1e-5);
+        for _ in 0..2 {
+            c.run_round_with_pool(&pool, &w.field, &w.train, &attack())
+                .unwrap();
+        }
+        for ae in c.corpus().aes() {
+            assert_eq!(pool.sample(ae.seed_index).unwrap().0, ae.seed);
+        }
+        c
+    };
+    type Run<'a> = &'a dyn Fn(usize) -> ShardedCampaign<Gmm>;
+    let inputs: [(&str, Run); 3] = [
+        ("plain", &plain),
+        ("detectors", &with_detectors),
+        ("seed pool", &with_seed_pool),
+    ];
+    for (input, run) in inputs {
+        let reference = at(1, || run(1));
+        let ref_reports = reference.reports();
+        assert_eq!(
+            ref_reports.len(),
+            2,
+            "{input}: hard target runs both rounds"
+        );
+        assert!(!reference.corpus().is_empty(), "{input}: rounds find AEs");
+        let ref_bytes = report_bytes(ref_reports);
+        let ref_net = reference.network().to_json().to_string();
+        for shards in SHARD_COUNTS {
+            for threads in THREAD_COUNTS {
+                let c = at(threads, || run(shards));
+                assert_eq!(
+                    c.reports(),
+                    ref_reports,
+                    "{input}: round reports differ at {shards} shards / {threads} threads"
+                );
+                assert_eq!(
+                    report_bytes(c.reports()),
+                    ref_bytes,
+                    "{input}: serialized reports differ at {shards} shards / {threads} threads"
+                );
+                assert_eq!(
+                    c.network().to_json().to_string(),
+                    ref_net,
+                    "{input}: retrained networks differ at {shards} shards / {threads} threads"
+                );
+            }
         }
     }
 }
