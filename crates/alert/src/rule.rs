@@ -553,7 +553,7 @@ alert bare_hist when attack.fuzz.naturalness < -25
 alert detector_idle for=10s when counter_stall detector.scored
 alert detector_never_fit when detector.fit_rows < 1
 alert suspicious_world when hist detector.score p50 > 100.0
-alert adaptive_never_lands for=10s when counter_stall attack.adaptive.success
+alert attack_never_lands for=10s when counter_stall attack.pgd.success
 ",
         );
         assert!(errors.is_empty(), "{errors:?}");

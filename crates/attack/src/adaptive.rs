@@ -1,225 +1,62 @@
-//! Detector-aware ("adaptive") PGD, after Carlini & Wagner's "Adversarial
-//! Examples Are Not Easily Detected" (AISec 2017).
-//!
-//! An honest detector evaluation must attack the *detector*, not just the
-//! classifier: the adaptive adversary ascends
-//! `CE(f(x), y) − α · score(x)` — cross-entropy up, detector suspicion
-//! down — so successful candidates are both misclassified **and** look
-//! clean to the defence. `exp11` reports every detector's AUROC under
-//! this attack alongside the naive one.
-
-use crate::outcome::{check_seed, grad_one, predict_one};
-use crate::{Attack, AttackError, AttackOutcome, NormBall};
-use opad_detect::Detector;
-use opad_nn::Network;
-use opad_par::Rng;
-use opad_telemetry as telemetry;
-use opad_tensor::Tensor;
-
-/// PGD against a classifier *and* a detector: steepest-ascent steps on the
-/// Carlini–Wagner combined loss, projected back onto the norm ball.
-///
-/// With `alpha = 0` this is exactly [`crate::Pgd`] without random start —
-/// the naive attacker every detector paper evaluates against. The run is
-/// fully deterministic (no random start, no restarts), so adaptive and
-/// naive sweeps are comparable seed-for-seed.
-#[derive(Debug, Clone)]
-pub struct AdaptivePgd<'a, Dt: ?Sized> {
-    detector: &'a Dt,
-    ball: NormBall,
-    steps: usize,
-    step_size: f32,
-    alpha: f32,
-    clip: Option<(f32, f32)>,
-}
-
-impl<'a, Dt: Detector + ?Sized> AdaptivePgd<'a, Dt> {
-    /// Creates an adaptive attack inside `ball` evading `detector`, with
-    /// evasion weight `alpha` on the detector-score term.
-    ///
-    /// # Errors
-    ///
-    /// Fails on zero steps, a non-positive step size, or a negative or
-    /// non-finite `alpha`.
-    pub fn new(
-        detector: &'a Dt,
-        ball: NormBall,
-        steps: usize,
-        step_size: f32,
-        alpha: f32,
-    ) -> Result<Self, AttackError> {
-        if steps == 0 {
-            return Err(AttackError::InvalidConfig {
-                reason: "steps must be nonzero".into(),
-            });
-        }
-        if step_size <= 0.0 || !step_size.is_finite() {
-            return Err(AttackError::InvalidConfig {
-                reason: format!("step size must be positive, got {step_size}"),
-            });
-        }
-        if alpha < 0.0 || !alpha.is_finite() {
-            return Err(AttackError::InvalidConfig {
-                reason: format!("evasion weight must be nonnegative and finite, got {alpha}"),
-            });
-        }
-        Ok(AdaptivePgd {
-            detector,
-            ball,
-            steps,
-            step_size,
-            alpha,
-            clip: None,
-        })
-    }
-
-    /// Constrains candidates to the valid input range `[lo, hi]`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `lo >= hi`.
-    pub fn with_clip(mut self, lo: f32, hi: f32) -> Result<Self, AttackError> {
-        if lo >= hi {
-            return Err(AttackError::InvalidConfig {
-                reason: format!("clip range [{lo}, {hi}] is empty"),
-            });
-        }
-        self.clip = Some((lo, hi));
-        Ok(self)
-    }
-
-    /// The evasion weight α.
-    pub fn alpha(&self) -> f32 {
-        self.alpha
-    }
-
-    /// The detector under attack.
-    pub fn detector(&self) -> &Dt {
-        self.detector
-    }
-}
-
-impl<Dt: Detector + ?Sized> Attack for AdaptivePgd<'_, Dt> {
-    fn name(&self) -> &'static str {
-        "adaptive_pgd"
-    }
-
-    fn run(
-        &self,
-        net: &mut Network,
-        seed: &Tensor,
-        label: usize,
-        _rng: &mut Rng,
-    ) -> Result<AttackOutcome, AttackError> {
-        check_seed(seed)?;
-        let mut x = seed.clone();
-        let mut queries = 0usize;
-        let mut pred = predict_one(net, &x)?;
-        queries += 1;
-        for _ in 0..self.steps {
-            let (_, g_ce) = grad_one(net, &x, label)?;
-            queries += 1;
-            let g_eff = if self.alpha > 0.0 {
-                let g_det = self.detector.score_gradient(x.as_slice())?;
-                queries += 1;
-                let penalty = Tensor::from_vec(g_det, x.dims())?;
-                // Ascend CE, descend detector suspicion.
-                g_ce.checked_sub(&penalty.scale(self.alpha))?
-            } else {
-                g_ce
-            };
-            let dir = self.ball.steepest_step(&g_eff);
-            x = x.checked_add(&dir.scale(self.step_size))?;
-            x = self.ball.project(seed, &x)?;
-            if let Some((lo, hi)) = self.clip {
-                x = x.clamp(lo, hi);
-            }
-            pred = predict_one(net, &x)?;
-            queries += 1;
-            if pred != label {
-                break;
-            }
-        }
-        let outcome = AttackOutcome::from_candidate(seed, x, pred, label, queries)?;
-        if outcome.success {
-            telemetry::counter_add("attack.adaptive.success", 1);
-        } else {
-            telemetry::counter_add("attack.adaptive.failure", 1);
-        }
-        Ok(outcome)
-    }
-}
+//! Unit tests of [`Pgd`](crate::Pgd) guided by the detector it attacks:
+//! Carlini & Wagner's adaptive attack, which ascends `CE − α·score(x)` so
+//! that its candidates evade that detector (E11 runs it on each detector).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::tests_support::{rng, trained_victim};
-    use crate::Pgd;
-    use opad_detect::OpDensityDetector;
-    use opad_opmodel::{Gmm, GmmComponent};
+    use crate::outcome::predict_one;
+    use crate::tests_support::{op_guide, rng, trained_victim};
+    use crate::{Attack, NormBall, Pgd};
+    use opad_detect::{Detector, OpDensityDetector};
+    use opad_opmodel::Gmm;
+    use opad_tensor::Tensor;
 
+    /// A detector centred on the seeds attacked below, so that evading it
+    /// pulls candidates back toward the seed.
     fn seed_centered_detector() -> OpDensityDetector<Gmm> {
-        OpDensityDetector::new(
-            Gmm::from_components(vec![GmmComponent {
-                weight: 1.0,
-                mean: vec![0.1, 0.05],
-                std: 0.3,
-            }])
-            .unwrap(),
-        )
+        op_guide([0.1, 0.05], 0.3)
     }
 
     #[test]
     fn config_validation() {
         let det = seed_centered_detector();
-        let ball = NormBall::linf(0.1).unwrap();
-        assert!(AdaptivePgd::new(&det, ball, 0, 0.1, 1.0).is_err());
-        assert!(AdaptivePgd::new(&det, ball, 5, 0.0, 1.0).is_err());
-        assert!(AdaptivePgd::new(&det, ball, 5, 0.1, -1.0).is_err());
-        assert!(AdaptivePgd::new(&det, ball, 5, 0.1, f32::NAN).is_err());
-        assert!(AdaptivePgd::new(&det, ball, 5, 0.1, 1.0)
-            .unwrap()
-            .with_clip(1.0, -1.0)
-            .is_err());
+        let pgd = Pgd::new(NormBall::linf(0.1).unwrap(), 5, 0.1).unwrap();
+        // α is a nonnegative finite weight.
+        for bad in [-1.0, f32::NAN, f32::INFINITY] {
+            assert!(pgd.clone().guided_by(&det, bad).is_err(), "α = {bad}");
+        }
+        let adaptive = pgd.guided_by(&det, 0.0).unwrap();
+        assert!(adaptive.with_clip(1.0, -1.0).is_err());
     }
 
-    /// α = 0 must reduce to plain deterministic PGD: same candidate, bit
-    /// for bit.
+    /// α = 0 walks plain PGD's path, bit for bit.
     #[test]
     fn alpha_zero_is_plain_pgd() {
         let det = seed_centered_detector();
         let ball = NormBall::linf(0.25).unwrap();
         let mut net = trained_victim();
-        let mut r = rng();
         let seed = Tensor::from_slice(&[0.1, 0.05]);
-        let label = crate::outcome::predict_one(&mut net, &seed).unwrap();
-        let adaptive = AdaptivePgd::new(&det, ball, 15, 0.04, 0.0).unwrap();
+        let label = predict_one(&mut net, &seed).unwrap();
         let plain = Pgd::new(ball, 15, 0.04).unwrap().with_random_start(false);
-        let a = adaptive.run(&mut net, &seed, label, &mut r).unwrap();
-        let b = plain.run(&mut net, &seed, label, &mut r).unwrap();
-        assert_eq!(a.success, b.success);
-        assert_eq!(
-            a.candidate.as_slice(),
-            b.candidate.as_slice(),
-            "α=0 must walk the identical path"
-        );
+        let adaptive = plain.clone().guided_by(&det, 0.0).unwrap();
+        let a = adaptive.run(&mut net, &seed, label, &mut rng()).unwrap();
+        let b = plain.run(&mut net, &seed, label, &mut rng()).unwrap();
+        assert_eq!(a, b);
     }
 
-    /// The evasion term must actually evade: with a detector centred near
-    /// the seed, the adaptive candidate scores no more suspicious than the
-    /// naive one.
+    /// The evasion term evades: with a detector centred near the seed, the
+    /// adaptive candidate scores no more suspicious than the naive one.
     #[test]
     fn adaptive_candidate_evades_the_detector() {
         let det = seed_centered_detector();
         let ball = NormBall::linf(0.3).unwrap();
         let mut net = trained_victim();
-        let mut r = rng();
         let seed = Tensor::from_slice(&[0.1, 0.05]);
-        let label = crate::outcome::predict_one(&mut net, &seed).unwrap();
-        let naive = AdaptivePgd::new(&det, ball, 20, 0.04, 0.0).unwrap();
-        let adaptive = AdaptivePgd::new(&det, ball, 20, 0.04, 5.0).unwrap();
-        let a = naive.run(&mut net, &seed, label, &mut r).unwrap();
-        let b = adaptive.run(&mut net, &seed, label, &mut r).unwrap();
+        let label = predict_one(&mut net, &seed).unwrap();
+        let naive = Pgd::new(ball, 20, 0.04).unwrap().with_random_start(false);
+        let adaptive = naive.clone().guided_by(&det, 5.0).unwrap();
+        let a = naive.run(&mut net, &seed, label, &mut rng()).unwrap();
+        let b = adaptive.run(&mut net, &seed, label, &mut rng()).unwrap();
         assert!(ball.contains(&seed, &b.candidate));
         let s_naive = det.score(a.candidate.as_slice()).unwrap();
         let s_adaptive = det.score(b.candidate.as_slice()).unwrap();
@@ -229,18 +66,19 @@ mod tests {
         );
     }
 
+    /// From a random start, the same RNG stream gives the same outcome.
     #[test]
     fn deterministic_across_runs() {
         let det = seed_centered_detector();
-        let ball = NormBall::linf(0.2).unwrap();
         let mut net = trained_victim();
         let seed = Tensor::from_slice(&[0.15, -0.05]);
-        let label = crate::outcome::predict_one(&mut net, &seed).unwrap();
-        let atk = AdaptivePgd::new(&det, ball, 10, 0.03, 2.0).unwrap();
-        let mut r1 = rng();
-        let mut r2 = rng();
-        let a = atk.run(&mut net, &seed, label, &mut r1).unwrap();
-        let b = atk.run(&mut net, &seed, label, &mut r2).unwrap();
+        let label = predict_one(&mut net, &seed).unwrap();
+        let adaptive = Pgd::new(NormBall::linf(0.2).unwrap(), 10, 0.03)
+            .unwrap()
+            .guided_by(&det, 2.0)
+            .unwrap();
+        let a = adaptive.run(&mut net, &seed, label, &mut rng()).unwrap();
+        let b = adaptive.run(&mut net, &seed, label, &mut rng()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -1,6 +1,7 @@
 //! Micro-benchmark registry for the attack kernels (`obsctl bench`).
 
-use crate::{Attack, DensityNaturalness, NaturalFuzz, NormBall, Pgd};
+use crate::{Attack, NormBall, Pgd};
+use opad_detect::OpDensityDetector;
 use opad_nn::{Activation, Network};
 use opad_opmodel::{Gmm, GmmComponent};
 use opad_par::Rng;
@@ -9,7 +10,7 @@ use opad_tensor::Tensor;
 use std::hint::black_box;
 
 /// The crate's [`Benchmarkable`] registry: one PGD attack and one
-/// naturalness-guided fuzz attack per iteration, end to end (the budget
+/// naturalness-guided PGD attack per iteration, end to end (the budget
 /// unit of the paper's testing loop is "one attacked seed").
 pub struct AttackBenches;
 
@@ -26,7 +27,7 @@ impl Benchmarkable for AttackBenches {
             std: 1.0,
         }])
         .expect("single unit component is a valid mixture");
-        let nat = DensityNaturalness::new(gmm);
+        let op = OpDensityDetector::new(gmm);
         let mut pgd_net = net.clone();
         let mut pgd_rng = Rng::seed_from_u64(1);
         let mut fuzz_net = net;
@@ -40,10 +41,14 @@ impl Benchmarkable for AttackBenches {
                 );
             }),
             BenchKernel::new("attack/natural_fuzz_15steps", move || {
-                // NaturalFuzz borrows its naturalness oracle, so it is
-                // rebuilt per iteration; construction only copies a few
-                // scalars, the 15 guided steps dominate.
-                let fuzz = NaturalFuzz::new(&nat, ball, 15, 0.06, 1.5).expect("nonzero steps");
+                // The guided attack borrows its guide, so it is rebuilt per
+                // iteration; construction only copies a few scalars, the 15
+                // guided steps dominate.
+                let fuzz = Pgd::new(ball, 15, 0.06)
+                    .expect("nonzero steps")
+                    .with_random_start(false)
+                    .guided_by(&op, 1.5)
+                    .expect("finite weight");
                 black_box(
                     fuzz.run(&mut fuzz_net, &fuzz_seed, 0, &mut fuzz_rng)
                         .expect("seed dim matches net"),

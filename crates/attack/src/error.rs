@@ -11,10 +11,7 @@ pub enum AttackError {
     /// A tensor operation failed.
     Tensor(opad_tensor::TensorError),
 
-    /// The naturalness/density oracle failed.
-    OpModel(opad_opmodel::OpModelError),
-
-    /// The detector an adaptive attack is trying to evade failed.
+    /// The detector guiding an attack failed.
     Detect(opad_detect::DetectError),
 
     /// An attack was configured with invalid parameters.
@@ -35,7 +32,6 @@ impl fmt::Display for AttackError {
         match self {
             AttackError::Network(e) => write!(f, "network error: {e}"),
             AttackError::Tensor(e) => write!(f, "tensor operation failed: {e}"),
-            AttackError::OpModel(e) => write!(f, "operational-profile model error: {e}"),
             AttackError::Detect(e) => write!(f, "detector error: {e}"),
             AttackError::InvalidConfig { reason } => {
                 write!(f, "invalid attack configuration: {reason}")
@@ -50,7 +46,6 @@ impl std::error::Error for AttackError {
         match self {
             AttackError::Network(e) => Some(e),
             AttackError::Tensor(e) => Some(e),
-            AttackError::OpModel(e) => Some(e),
             AttackError::Detect(e) => Some(e),
             _ => None,
         }
@@ -66,12 +61,6 @@ impl From<opad_nn::NnError> for AttackError {
 impl From<opad_tensor::TensorError> for AttackError {
     fn from(e: opad_tensor::TensorError) -> Self {
         AttackError::Tensor(e)
-    }
-}
-
-impl From<opad_opmodel::OpModelError> for AttackError {
-    fn from(e: opad_opmodel::OpModelError) -> Self {
-        AttackError::OpModel(e)
     }
 }
 

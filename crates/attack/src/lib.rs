@@ -6,16 +6,15 @@
 //!
 //! * [`NormBall`] — L∞/L2 perturbation regions with projection, sampling
 //!   and steepest-ascent directions;
-//! * attacks behind the common [`Attack`] trait: [`Fgsm`], [`Pgd`]
-//!   (Madry et al., the paper's reference attack), [`RandomFuzz`]
-//!   (black-box baseline) and [`NaturalFuzz`] (loss + λ·naturalness ascent
-//!   with an acceptance threshold τ);
-//! * naturalness oracles ([`Naturalness`]): [`DensityNaturalness`]
-//!   (log-density under an OP model — the paper's "local OP", now routed
-//!   through the `opad-detect` zoo's `Detector` trait) and
-//!   [`PcaNaturalness`] (reconstruction-error manifold proxy);
-//! * [`AdaptivePgd`] — detector-aware PGD ascending the Carlini–Wagner
-//!   combined loss `CE − α·score`, for honest detector evaluation.
+//! * attacks behind the common [`Attack`] trait: [`Fgsm`] (one unprojected
+//!   step), [`RandomFuzz`] (gradient-free black-box baseline) and [`Pgd`]
+//!   (Madry et al., the paper's reference attack), the one gradient walk.
+//!   [`Pgd::guided_by`] adds a detector's score to its objective,
+//!   `CE − w·score(x)`: guided by the `opad-detect` zoo's
+//!   `OpDensityDetector` (negated OP log-density, the paper's "local OP")
+//!   it is the naturalness-guided fuzzer, and [`Pgd::with_min_naturalness`]
+//!   sets its acceptance bar τ; guided by any other detector it is the
+//!   Carlini–Wagner adaptive attack, for honest detector evaluation.
 //!
 //! # Examples
 //!
@@ -35,40 +34,56 @@
 
 #![warn(missing_docs)]
 
-mod adaptive;
 mod bench;
 mod error;
 mod fgsm;
-mod natural_fuzz;
-mod naturalness;
 mod norm;
 mod outcome;
 mod pgd;
 mod random_fuzz;
 
-pub use adaptive::AdaptivePgd;
 pub use bench::AttackBenches;
 pub use error::AttackError;
 pub use fgsm::Fgsm;
-pub use natural_fuzz::NaturalFuzz;
-pub use naturalness::{DensityNaturalness, Naturalness, PcaNaturalness};
 pub use norm::NormBall;
 pub use outcome::{Attack, AttackOutcome};
 pub use pgd::Pgd;
 pub use random_fuzz::RandomFuzz;
 
+// Unit suites of the guided walk, one per job its guide does: evading the
+// detector it attacks, fuzzing toward the operational profile, and the
+// naturalness `−score(x)` the guides report. They hold no other code.
+mod adaptive;
+mod natural_fuzz;
+mod naturalness;
+
 #[cfg(test)]
 pub(crate) mod tests_support {
-    //! Shared victims for attack tests.
+    //! Shared victims and guides for attack tests.
 
+    use opad_detect::OpDensityDetector;
     use opad_nn::{
         Activation, ActivationLayer, Dense, Layer, Network, Optimizer, TrainConfig, Trainer,
     };
+    use opad_opmodel::{Gmm, GmmComponent};
     use opad_par::Rng;
     use opad_tensor::Tensor;
 
     pub fn rng() -> Rng {
         Rng::seed_from_u64(42)
+    }
+
+    /// A one-component OP centred at `mean`: as a guide, its score is the
+    /// negated log-density.
+    pub fn op_guide(mean: [f32; 2], std: f64) -> OpDensityDetector<Gmm> {
+        OpDensityDetector::new(
+            Gmm::from_components(vec![GmmComponent {
+                weight: 1.0,
+                mean: mean.to_vec(),
+                std,
+            }])
+            .unwrap(),
+        )
     }
 
     /// A fixed linear victim: logits = (−x₀, x₀), i.e. class 1 iff x₀ > 0.

@@ -1,289 +1,71 @@
-//! The paper's proposed test-generation algorithm (RQ3): gradient-based
-//! fuzzing *guided by naturalness*, so detected adversarial examples stay
-//! in high-local-OP regions.
-
-use crate::outcome::{check_seed, grad_one, predict_one};
-use crate::{Attack, AttackError, AttackOutcome, Naturalness, NormBall};
-use opad_nn::Network;
-use opad_par::Rng;
-use opad_telemetry as telemetry;
-use opad_tensor::Tensor;
-
-/// Naturalness-guided fuzzing.
-///
-/// Each iteration ascends the combined objective
-/// `loss(f(x), y) + λ · nat(x)` inside the norm ball, where `nat` is a
-/// [`Naturalness`] oracle (log-density under the OP, or negative PCA
-/// reconstruction error). A candidate only counts as an *operational* AE
-/// when it is misclassified **and** its naturalness clears the threshold
-/// `τ` — the paper's notion that operational AEs are "realistic/natural,
-/// but not vice versa".
-///
-/// Compared to plain PGD this trades some raw attack success for AEs that
-/// the operational profile says will actually be met in the field.
-#[derive(Debug, Clone)]
-pub struct NaturalFuzz<'a, N> {
-    ball: NormBall,
-    steps: usize,
-    step_size: f32,
-    lambda: f32,
-    tau: Option<f64>,
-    restarts: usize,
-    clip: Option<(f32, f32)>,
-    naturalness: &'a N,
-}
-
-impl<'a, N: Naturalness> NaturalFuzz<'a, N> {
-    /// Creates a naturalness-guided fuzzer.
-    ///
-    /// `lambda` weights the naturalness gradient against the loss
-    /// gradient; `lambda = 0` degenerates to PGD without random start.
-    ///
-    /// # Errors
-    ///
-    /// Fails on zero steps, non-positive step size, or negative/non-finite
-    /// `lambda`.
-    pub fn new(
-        naturalness: &'a N,
-        ball: NormBall,
-        steps: usize,
-        step_size: f32,
-        lambda: f32,
-    ) -> Result<Self, AttackError> {
-        if steps == 0 {
-            return Err(AttackError::InvalidConfig {
-                reason: "steps must be nonzero".into(),
-            });
-        }
-        if step_size <= 0.0 || !step_size.is_finite() {
-            return Err(AttackError::InvalidConfig {
-                reason: format!("step size must be positive, got {step_size}"),
-            });
-        }
-        if lambda < 0.0 || !lambda.is_finite() {
-            return Err(AttackError::InvalidConfig {
-                reason: format!("lambda must be nonnegative, got {lambda}"),
-            });
-        }
-        Ok(NaturalFuzz {
-            ball,
-            steps,
-            step_size,
-            lambda,
-            tau: None,
-            restarts: 1,
-            clip: None,
-            naturalness,
-        })
-    }
-
-    /// Requires accepted AEs to have naturalness ≥ `tau` (same scale as
-    /// the oracle's [`Naturalness::score`]).
-    pub fn with_min_naturalness(mut self, tau: f64) -> Self {
-        self.tau = Some(tau);
-        self
-    }
-
-    /// Number of restarts (≥1); restarts after the first begin from a
-    /// random point in the ball.
-    pub fn with_restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
-    /// Constrains candidates to the valid input range `[lo, hi]`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `lo >= hi`.
-    pub fn with_clip(mut self, lo: f32, hi: f32) -> Result<Self, AttackError> {
-        if lo >= hi {
-            return Err(AttackError::InvalidConfig {
-                reason: format!("clip range [{lo}, {hi}] is empty"),
-            });
-        }
-        self.clip = Some((lo, hi));
-        Ok(self)
-    }
-
-    /// The naturalness weight λ.
-    pub fn lambda(&self) -> f32 {
-        self.lambda
-    }
-
-    /// The acceptance threshold τ, if set.
-    pub fn min_naturalness(&self) -> Option<f64> {
-        self.tau
-    }
-
-    /// Whether a misclassified candidate clears the naturalness bar.
-    fn accepts(&self, x: &Tensor) -> Result<bool, AttackError> {
-        match self.tau {
-            None => Ok(true),
-            Some(tau) => {
-                let score = self.naturalness.score(x.as_slice())?;
-                // Naturalness scores are log-densities, i.e. usually
-                // negative — the telemetry histogram handles both signs.
-                telemetry::histogram_record("attack.fuzz.naturalness", score);
-                Ok(score >= tau)
-            }
-        }
-    }
-
-    fn one_restart(
-        &self,
-        net: &mut Network,
-        seed: &Tensor,
-        label: usize,
-        start: Tensor,
-    ) -> Result<(Tensor, usize, usize, bool), AttackError> {
-        let mut x = start;
-        let mut queries = 0usize;
-        for _ in 0..self.steps {
-            telemetry::counter_add("attack.fuzz.proposals", 1);
-            let (_, g_loss) = grad_one(net, &x, label)?;
-            queries += 1;
-            let combined = if self.lambda > 0.0 {
-                let g_nat = Tensor::from_slice(&self.naturalness.score_gradient(x.as_slice())?);
-                g_loss.checked_add(&g_nat.scale(self.lambda))?
-            } else {
-                g_loss
-            };
-            let dir = self.ball.steepest_step(&combined);
-            x = x.checked_add(&dir.scale(self.step_size))?;
-            x = self.ball.project(seed, &x)?;
-            if let Some((lo, hi)) = self.clip {
-                x = x.clamp(lo, hi);
-            }
-            let pred = predict_one(net, &x)?;
-            queries += 1;
-            if pred != label {
-                if self.accepts(&x)? {
-                    telemetry::counter_add("attack.fuzz.accepted", 1);
-                    return Ok((x, pred, queries, true));
-                }
-                telemetry::counter_add("attack.fuzz.rejected_unnatural", 1);
-            }
-        }
-        let pred = predict_one(net, &x)?;
-        queries += 1;
-        let ok = pred != label && self.accepts(&x)?;
-        if ok {
-            telemetry::counter_add("attack.fuzz.accepted", 1);
-        }
-        Ok((x, pred, queries, ok))
-    }
-}
-
-impl<N: Naturalness> Attack for NaturalFuzz<'_, N> {
-    fn name(&self) -> &'static str {
-        "natural-fuzz"
-    }
-
-    fn run(
-        &self,
-        net: &mut Network,
-        seed: &Tensor,
-        label: usize,
-        rng: &mut Rng,
-    ) -> Result<AttackOutcome, AttackError> {
-        check_seed(seed)?;
-        let mut total_queries = 0usize;
-        let mut last: Option<(Tensor, usize)> = None;
-        for restart in 0..self.restarts {
-            // First try from the seed itself (the most natural start);
-            // later restarts diversify randomly.
-            let start = if restart == 0 {
-                seed.clone()
-            } else {
-                let mut s = self.ball.sample(seed, rng);
-                if let Some((lo, hi)) = self.clip {
-                    s = s.clamp(lo, hi);
-                }
-                s
-            };
-            let (cand, pred, q, accepted) = self.one_restart(net, seed, label, start)?;
-            total_queries += q;
-            last = Some((cand, pred));
-            if accepted {
-                break;
-            }
-        }
-        let (cand, mut pred) = last.expect("at least one restart");
-        // A misclassified-but-unnatural candidate is *not* an operational
-        // AE: report it as a failure by keeping success = predicted != label
-        // consistent — re-predict flag accordingly.
-        if pred != label && !self.accepts(&cand)? {
-            // Mark as unsuccessful by reporting the seed itself.
-            let seed_pred = predict_one(net, seed)?;
-            total_queries += 1;
-            pred = seed_pred;
-            return AttackOutcome::from_candidate(seed, seed.clone(), pred, label, total_queries);
-        }
-        AttackOutcome::from_candidate(seed, cand, pred, label, total_queries)
-    }
-}
+//! Unit tests of [`Pgd`](crate::Pgd) guided by an operational-profile
+//! density: the paper's naturalness-guided fuzzer (RQ3), which ascends
+//! `CE + λ·log p(x)` and, under a naturalness bar τ, accepts an AE only
+//! when `log p(x) ≥ τ`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::tests_support::{rng, trained_victim};
-    use crate::{DensityNaturalness, Pgd};
-    use opad_opmodel::{Density, Gmm, GmmComponent};
+    use crate::outcome::predict_one;
+    use crate::tests_support::{op_guide, rng, trained_victim};
+    use crate::{Attack, NormBall, Pgd};
+    use opad_detect::{Detector, OpDensityDetector};
+    use opad_opmodel::{Density, Gmm};
+    use opad_tensor::Tensor;
 
-    /// A ground-truth OP with high density on the negative-x side only.
-    fn left_heavy_op() -> Gmm {
-        Gmm::from_components(vec![GmmComponent {
-            weight: 1.0,
-            mean: vec![-0.5, 0.0],
-            std: 0.4,
-        }])
-        .unwrap()
+    /// An OP with high density on the negative-x side only.
+    fn left_heavy_op() -> OpDensityDetector<Gmm> {
+        op_guide([-0.5, 0.0], 0.4)
     }
 
     #[test]
     fn config_validation() {
         let op = left_heavy_op();
-        let nat = DensityNaturalness::new(op);
-        let ball = NormBall::linf(0.1).unwrap();
-        assert!(NaturalFuzz::new(&nat, ball, 0, 0.1, 1.0).is_err());
-        assert!(NaturalFuzz::new(&nat, ball, 5, 0.0, 1.0).is_err());
-        assert!(NaturalFuzz::new(&nat, ball, 5, 0.1, -1.0).is_err());
-        let f = NaturalFuzz::new(&nat, ball, 5, 0.1, 1.0).unwrap();
-        assert_eq!(f.lambda(), 1.0);
-        assert!(f.min_naturalness().is_none());
-        assert!(f.with_clip(1.0, 0.0).is_err());
+        let pgd = Pgd::new(NormBall::linf(0.1).unwrap(), 5, 0.1).unwrap();
+        assert!(pgd.clone().guided_by(&op, -1.0).is_err(), "λ < 0");
+        // A naturalness bar needs a guide to score it.
+        assert!(pgd.clone().with_min_naturalness(-3.0).is_err());
+        let fuzz = pgd
+            .guided_by(&op, 1.0)
+            .unwrap()
+            .with_min_naturalness(-3.0)
+            .unwrap();
+        assert!(fuzz.with_clip(1.0, 0.0).is_err());
     }
 
     #[test]
     fn finds_adversarial_examples() {
         let mut net = trained_victim();
         let op = left_heavy_op();
-        let nat = DensityNaturalness::new(op);
-        let fuzz = NaturalFuzz::new(&nat, NormBall::linf(0.3).unwrap(), 20, 0.05, 0.5).unwrap();
-        let mut r = rng();
+        let ball = NormBall::linf(0.3).unwrap();
+        let fuzz = Pgd::new(ball, 20, 0.05)
+            .unwrap()
+            .with_random_start(false)
+            .guided_by(&op, 0.5)
+            .unwrap();
         let seed = Tensor::from_slice(&[0.1, 0.05]);
-        let label = crate::outcome::predict_one(&mut net, &seed).unwrap();
-        let out = fuzz.run(&mut net, &seed, label, &mut r).unwrap();
+        let label = predict_one(&mut net, &seed).unwrap();
+        let out = fuzz.run(&mut net, &seed, label, &mut rng()).unwrap();
         assert!(out.success);
-        assert!(NormBall::linf(0.3).unwrap().contains(&seed, &out.candidate));
+        assert!(ball.contains(&seed, &out.candidate));
     }
 
     #[test]
     fn naturalness_threshold_filters_unnatural_aes() {
         let mut net = trained_victim();
         let op = left_heavy_op();
-        let nat = DensityNaturalness::new(op.clone());
-        let mut r = rng();
         // Seed in a low-density region: every AE near it is unnatural, so
-        // an aggressive τ rejects all candidates.
+        // a near-mode bar rejects all candidates.
         let seed = Tensor::from_slice(&[3.0, 3.0]);
-        let label = crate::outcome::predict_one(&mut net, &seed).unwrap();
-        let tau = op.log_density(&[-0.5, 0.0]).unwrap() - 1.0; // near-mode bar
-        let strict = NaturalFuzz::new(&nat, NormBall::linf(0.3).unwrap(), 15, 0.05, 0.5)
+        let label = predict_one(&mut net, &seed).unwrap();
+        let tau = op.density().log_density(&[-0.5, 0.0]).unwrap() - 1.0;
+        let strict = Pgd::new(NormBall::linf(0.3).unwrap(), 15, 0.05)
             .unwrap()
-            .with_min_naturalness(tau);
-        let out = strict.run(&mut net, &seed, label, &mut r).unwrap();
+            .with_random_start(false)
+            .guided_by(&op, 0.5)
+            .unwrap()
+            .with_min_naturalness(tau)
+            .unwrap();
+        let out = strict.run(&mut net, &seed, label, &mut rng()).unwrap();
         assert!(!out.success, "unnatural AE must not count");
         // Either the reported candidate is still correctly classified, or
         // (when a misclassified-but-unnatural point was found) the attack
@@ -293,25 +75,28 @@ mod tests {
 
     #[test]
     fn guided_aes_are_more_natural_than_pgd_aes() {
-        // The headline mechanism: with the naturalness term, found AEs
+        // The paper's RQ3 mechanism: with the naturalness term, found AEs
         // score higher under the OP than PGD's.
         let mut net = trained_victim();
         let op = left_heavy_op();
-        let nat = DensityNaturalness::new(op.clone());
         let ball = NormBall::linf(0.4).unwrap();
-        let fuzz = NaturalFuzz::new(&nat, ball, 25, 0.05, 2.0).unwrap();
+        let fuzz = Pgd::new(ball, 25, 0.05)
+            .unwrap()
+            .with_random_start(false)
+            .guided_by(&op, 2.0)
+            .unwrap();
         let pgd = Pgd::new(ball, 25, 0.05).unwrap();
         let mut r = rng();
         let mut nat_scores = Vec::new();
         let mut pgd_scores = Vec::new();
         for i in 0..12 {
             let seed = Tensor::from_slice(&[-0.2 + 0.05 * i as f32, 0.1]);
-            let label = crate::outcome::predict_one(&mut net, &seed).unwrap();
+            let label = predict_one(&mut net, &seed).unwrap();
             let a = fuzz.run(&mut net, &seed, label, &mut r).unwrap();
             let b = pgd.run(&mut net, &seed, label, &mut r).unwrap();
             if a.success && b.success {
-                nat_scores.push(op.log_density(a.candidate.as_slice()).unwrap());
-                pgd_scores.push(op.log_density(b.candidate.as_slice()).unwrap());
+                nat_scores.push(-op.score(a.candidate.as_slice()).unwrap());
+                pgd_scores.push(-op.score(b.candidate.as_slice()).unwrap());
             }
         }
         assert!(
@@ -328,18 +113,27 @@ mod tests {
         );
     }
 
+    /// With later restarts starting at random points, with and without a
+    /// naturalness bar, the same RNG stream gives the same outcome.
     #[test]
     fn restarts_and_determinism() {
         let mut net = trained_victim();
         let op = left_heavy_op();
-        let nat = DensityNaturalness::new(op);
-        let fuzz = NaturalFuzz::new(&nat, NormBall::l2(0.5).unwrap(), 10, 0.1, 1.0)
-            .unwrap()
-            .with_restarts(3);
         let seed = Tensor::from_slice(&[0.4, -0.3]);
-        let label = crate::outcome::predict_one(&mut net, &seed).unwrap();
-        let a = fuzz.run(&mut net, &seed, label, &mut rng()).unwrap();
-        let b = fuzz.run(&mut net, &seed, label, &mut rng()).unwrap();
-        assert_eq!(a, b);
+        let label = predict_one(&mut net, &seed).unwrap();
+        for tau in [None, Some(-2.0)] {
+            let mut fuzz = Pgd::new(NormBall::l2(0.5).unwrap(), 10, 0.1)
+                .unwrap()
+                .with_random_start(false)
+                .with_restarts(3)
+                .guided_by(&op, 2.0)
+                .unwrap();
+            if let Some(tau) = tau {
+                fuzz = fuzz.with_min_naturalness(tau).unwrap();
+            }
+            let a = fuzz.run(&mut net, &seed, label, &mut rng()).unwrap();
+            let b = fuzz.run(&mut net, &seed, label, &mut rng()).unwrap();
+            assert_eq!(a, b, "τ = {tau:?}");
+        }
     }
 }

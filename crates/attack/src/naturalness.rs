@@ -1,142 +1,14 @@
-//! Naturalness oracles — quantified approximations of the "local OP"
-//! (paper Sec. II-b).
-//!
-//! Since the detector zoo landed, naturalness is the flip side of
-//! detection: a naturalness oracle is a [`Detector`] with its sign
-//! reversed (detectors score *suspicion*, oracles score *plausibility*).
-//! [`DensityNaturalness`] is literally the paper's
-//! [`OpDensityDetector`] routed through the shared trait — scores are
-//! bit-identical to the pre-zoo implementation because negation is exact
-//! in IEEE 754.
-
-use crate::AttackError;
-use opad_detect::{Detector, OpDensityDetector};
-use opad_opmodel::{Density, Pca};
-use opad_tensor::Tensor;
-
-/// Scores how "natural" (operationally plausible) an input is; higher is
-/// more natural. Scores are only compared against thresholds and against
-/// each other, so any monotone scale works.
-pub trait Naturalness {
-    /// The naturalness score of `x`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on dimension mismatch.
-    fn score(&self, x: &[f32]) -> Result<f64, AttackError>;
-
-    /// Gradient of the score (used by naturalness-*guided* search).
-    ///
-    /// # Errors
-    ///
-    /// Fails on dimension mismatch.
-    fn score_gradient(&self, x: &[f32]) -> Result<Vec<f32>, AttackError>;
-}
-
-/// Naturalness as log-density under an operational-profile density model —
-/// the most literal reading of "naturalness approximates the local OP".
-///
-/// Internally this is the detector zoo's [`OpDensityDetector`] with the
-/// sign flipped back: `score = −detector.score = −(−log p) = log p`,
-/// bit-for-bit the log-density (double negation is exact).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DensityNaturalness<D> {
-    density: OpDensityDetector<D>,
-}
-
-impl<D: Density> DensityNaturalness<D> {
-    /// Wraps a density model.
-    pub fn new(density: D) -> Self {
-        DensityNaturalness {
-            density: OpDensityDetector::new(density),
-        }
-    }
-
-    /// The wrapped density.
-    pub fn density(&self) -> &D {
-        self.density.density()
-    }
-
-    /// The same oracle seen from the detector side: suspicion instead of
-    /// plausibility.
-    pub fn as_detector(&self) -> &OpDensityDetector<D> {
-        &self.density
-    }
-}
-
-impl<D: Density + PartialEq> Naturalness for DensityNaturalness<D> {
-    fn score(&self, x: &[f32]) -> Result<f64, AttackError> {
-        Ok(-self.density.score(x)?)
-    }
-
-    fn score_gradient(&self, x: &[f32]) -> Result<Vec<f32>, AttackError> {
-        let mut g = self.density.score_gradient(x)?;
-        for v in &mut g {
-            *v = -*v;
-        }
-        Ok(g)
-    }
-}
-
-/// Naturalness as negative PCA reconstruction error: natural inputs lie
-/// near the training-data manifold spanned by the top principal
-/// components. The PCA machinery itself lives in [`opad_opmodel::Pca`]
-/// (shared with the MagNet detector); this wrapper keeps the historical
-/// serialized form (`{"mean": …, "components": …}`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PcaNaturalness(Pca);
-
-impl PcaNaturalness {
-    /// Fits a `k`-component PCA on the rows of `data`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `data` is not a matrix with at least 2 rows, or
-    /// `k` exceeds the dimensionality.
-    pub fn fit(data: &Tensor, k: usize) -> Result<Self, AttackError> {
-        Ok(PcaNaturalness(Pca::fit(data, k)?))
-    }
-
-    /// Number of principal components retained.
-    pub fn num_components(&self) -> usize {
-        self.0.num_components()
-    }
-
-    /// The underlying PCA model.
-    pub fn pca(&self) -> &Pca {
-        &self.0
-    }
-
-    /// Squared reconstruction error of `x` under the retained subspace.
-    ///
-    /// # Errors
-    ///
-    /// Fails on dimension mismatch.
-    pub fn reconstruction_error(&self, x: &[f32]) -> Result<f64, AttackError> {
-        Ok(self.0.reconstruction_error(x)?)
-    }
-}
-
-impl Naturalness for PcaNaturalness {
-    fn score(&self, x: &[f32]) -> Result<f64, AttackError> {
-        Ok(-self.0.reconstruction_error(x)?)
-    }
-
-    /// Analytic gradient of `−‖(I − VVᵀ)(x − μ)‖²`:
-    /// `−2 (I − VVᵀ)(x − μ)`.
-    fn score_gradient(&self, x: &[f32]) -> Result<Vec<f32>, AttackError> {
-        let mut g = self.0.reconstruction_error_gradient(x)?;
-        for v in &mut g {
-            *v = -*v;
-        }
-        Ok(g)
-    }
-}
+//! Unit tests of the naturalness a guided [`Pgd`](crate::Pgd) reads,
+//! `−score(x)` of its guide, for the two guides the workspace uses: an
+//! `OpDensityDetector`, whose naturalness is the OP log-density, and
+//! `Magnet`, whose naturalness is the negated squared PCA reconstruction
+//! error.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use opad_opmodel::{Gmm, GmmComponent};
+    use opad_data::Dataset;
+    use opad_detect::{Detector, Magnet, OpDensityDetector};
+    use opad_opmodel::{Density, Gmm, GmmComponent};
     use opad_par::Rng;
     use opad_tensor::Tensor;
 
@@ -149,97 +21,98 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn density_naturalness_orders_points() {
-        let nat = DensityNaturalness::new(unit_gmm());
-        assert!(nat.score(&[0.0, 0.0]).unwrap() > nat.score(&[3.0, 3.0]).unwrap());
-        let g = nat.score_gradient(&[2.0, 0.0]).unwrap();
-        assert!((g[0] + 2.0).abs() < 1e-5);
-        assert!(nat.score(&[0.0]).is_err());
+    /// The naturalness `guide` gives `x`, as a naturalness bar reads it.
+    fn naturalness(guide: &dyn Detector, x: &[f32]) -> f64 {
+        -guide.score(x).unwrap()
     }
 
-    /// The satellite pin: routing through the detector trait must be a
-    /// pure re-expression — score and gradient stay **bitwise** equal to
-    /// the raw density, and the detector face is the exact negation.
+    /// MagNet keeping `k` principal components of `rows`.
+    fn magnet(rows: &Tensor, k: usize) -> Magnet {
+        let (n, d) = (rows.dims()[0], rows.dims()[1]);
+        let mut m = Magnet::new(d, k).unwrap();
+        m.fit(&Dataset::new(rows.clone(), vec![0; n], 1).unwrap())
+            .unwrap();
+        m
+    }
+
+    #[test]
+    fn density_naturalness_orders_points() {
+        let op = OpDensityDetector::new(unit_gmm());
+        assert!(naturalness(&op, &[0.0, 0.0]) > naturalness(&op, &[3.0, 3.0]));
+        // ∇ log p at (2, 0) is (−2, 0); the guide's score ascends −log p.
+        let g = op.score_gradient(&[2.0, 0.0]).unwrap();
+        assert!((g[0] - 2.0).abs() < 1e-5);
+        assert!(op.score(&[0.0]).is_err());
+    }
+
+    /// Guiding by the OP is a pure re-expression of the density: the
+    /// naturalness is the log-density bit for bit, and the score gradient
+    /// is its gradient negated bit for bit (IEEE negation is exact).
     #[test]
     fn density_naturalness_is_bitwise_log_density() {
         let gmm = unit_gmm();
-        let nat = DensityNaturalness::new(gmm.clone());
+        let op = OpDensityDetector::new(gmm.clone());
         for q in [[0.0f32, 0.0], [1.3, -0.4], [3.0, 3.0], [-7.5, 0.01]] {
-            let direct = gmm.log_density(&q).unwrap();
-            let routed = nat.score(&q).unwrap();
-            assert_eq!(routed.to_bits(), direct.to_bits(), "score at {q:?}");
+            let log_p = gmm.log_density(&q).unwrap();
             assert_eq!(
-                nat.as_detector().score(&q).unwrap().to_bits(),
-                (-direct).to_bits(),
-                "detector face at {q:?}"
+                naturalness(&op, &q).to_bits(),
+                log_p.to_bits(),
+                "naturalness at {q:?}"
             );
-            let g_direct = gmm.grad_log_density(&q).unwrap();
-            let g_routed = nat.score_gradient(&q).unwrap();
-            for (a, b) in g_routed.iter().zip(&g_direct) {
-                assert_eq!(a.to_bits(), b.to_bits(), "gradient at {q:?}");
+            let grad = op.score_gradient(&q).unwrap();
+            for (g, d) in grad.iter().zip(gmm.grad_log_density(&q).unwrap()) {
+                assert_eq!(g.to_bits(), (-d).to_bits(), "gradient at {q:?}");
             }
         }
     }
 
-    /// Data on a line in 2-D: PCA with 1 component reconstructs on-line
-    /// points perfectly and penalises off-line points.
+    /// Data on a line in 2-D: MagNet with one component reconstructs
+    /// on-line points exactly, so they are natural, and off-line points
+    /// are not.
     #[test]
     fn pca_detects_off_manifold_points() {
-        let mut rows = Vec::new();
-        for i in 0..50 {
-            let t = i as f32 / 10.0 - 2.5;
-            rows.push(Tensor::from_slice(&[t, 2.0 * t]));
-        }
-        let data = Tensor::stack_rows(&rows).unwrap();
-        let pca = PcaNaturalness::fit(&data, 1).unwrap();
-        let on = pca.reconstruction_error(&[1.0, 2.0]).unwrap();
-        let off = pca.reconstruction_error(&[2.0, -1.0]).unwrap();
-        assert!(on < 1e-6, "on-manifold error {on}");
-        assert!(off > 1.0, "off-manifold error {off}");
-        assert!(pca.score(&[1.0, 2.0]).unwrap() > pca.score(&[2.0, -1.0]).unwrap());
-    }
-
-    #[test]
-    fn pca_full_rank_reconstructs_everything() {
-        let mut rng = Rng::seed_from_u64(0);
-        let data = Tensor::rand_normal(&[100, 3], 0.0, 1.0, &mut rng);
-        let pca = PcaNaturalness::fit(&data, 3).unwrap();
-        assert_eq!(pca.num_components(), 3);
-        for i in 0..5 {
-            let x = data.row(i).unwrap();
-            let err = pca.reconstruction_error(x.as_slice()).unwrap();
-            assert!(err < 1e-3, "row {i} error {err}");
-        }
+        let rows: Vec<f32> = (0..50)
+            .flat_map(|i| {
+                let t = i as f32 / 10.0 - 2.5;
+                [t, 2.0 * t]
+            })
+            .collect();
+        let m = magnet(&Tensor::from_vec(rows, &[50, 2]).unwrap(), 1);
+        let on = naturalness(&m, &[1.0, 2.0]);
+        let off = naturalness(&m, &[2.0, -1.0]);
+        assert!(on > -1e-6, "on-manifold naturalness {on}");
+        assert!(off < -1.0, "off-manifold naturalness {off}");
     }
 
     #[test]
     fn pca_validation() {
-        let data = Tensor::zeros(&[10, 3]);
-        assert!(PcaNaturalness::fit(&data, 0).is_err());
-        assert!(PcaNaturalness::fit(&data, 4).is_err());
-        assert!(PcaNaturalness::fit(&Tensor::zeros(&[1, 3]), 1).is_err());
-        assert!(PcaNaturalness::fit(&Tensor::zeros(&[5]), 1).is_err());
-        let pca = PcaNaturalness::fit(&data, 2).unwrap();
-        assert!(pca.reconstruction_error(&[0.0]).is_err());
-        assert!(pca.score_gradient(&[0.0]).is_err());
+        assert!(Magnet::new(3, 0).is_err());
+        assert!(Magnet::new(3, 4).is_err());
+        // One reference row, or constant rows, leave no manifold to score
+        // against.
+        let one = magnet(&Tensor::zeros(&[1, 3]), 1);
+        assert!(one.score(&[0.0; 3]).is_err());
+        let flat = magnet(&Tensor::zeros(&[10, 3]), 2);
+        assert!(flat.score(&[0.0; 3]).is_err());
+        let mut rng = Rng::seed_from_u64(0);
+        let m = magnet(&Tensor::rand_normal(&[10, 3], 0.0, 1.0, &mut rng), 2);
+        assert!(m.score(&[0.0]).is_err());
+        assert!(m.score_gradient(&[0.0]).is_err());
     }
 
     #[test]
     fn pca_gradient_matches_finite_difference() {
         let mut rng = Rng::seed_from_u64(1);
-        let data = Tensor::rand_normal(&[60, 4], 0.0, 1.0, &mut rng);
-        let pca = PcaNaturalness::fit(&data, 2).unwrap();
+        let m = magnet(&Tensor::rand_normal(&[60, 4], 0.0, 1.0, &mut rng), 2);
         let x = [0.3f32, -0.7, 1.1, 0.2];
-        let analytic = pca.score_gradient(&x).unwrap();
+        let analytic = m.score_gradient(&x).unwrap();
         let h = 1e-3f32;
         for j in 0..4 {
             let mut xp = x;
             xp[j] += h;
             let mut xm = x;
             xm[j] -= h;
-            let num =
-                ((pca.score(&xp).unwrap() - pca.score(&xm).unwrap()) / (2.0 * h as f64)) as f32;
+            let num = ((m.score(&xp).unwrap() - m.score(&xm).unwrap()) / (2.0 * h as f64)) as f32;
             assert!(
                 (num - analytic[j]).abs() < 1e-2,
                 "dim {j}: {num} vs {}",
@@ -248,21 +121,21 @@ mod tests {
         }
     }
 
+    /// With every component kept, the score's gradient is
+    /// `2(I − VᵀV)(x − μ)`, where the rows of `V` are the principal axes.
+    /// It vanishes at three independent points only if `VᵀV = I`, that
+    /// is, only if the axes are orthonormal.
     #[test]
     fn pca_components_are_orthonormal() {
         let mut rng = Rng::seed_from_u64(2);
         // Anisotropic data so eigenvalues are distinct.
         let base = Tensor::rand_normal(&[200, 3], 0.0, 1.0, &mut rng);
         let scale = Tensor::from_vec(vec![3.0, 1.0, 0.3], &[3]).unwrap();
-        let data = base.checked_mul(&scale).unwrap();
-        let pca = PcaNaturalness::fit(&data, 3).unwrap();
-        let c = pca.pca().components().as_slice();
-        for a in 0..3 {
-            for b in 0..3 {
-                let dot: f32 = (0..3).map(|j| c[a * 3 + j] * c[b * 3 + j]).sum();
-                let expect = if a == b { 1.0 } else { 0.0 };
-                assert!((dot - expect).abs() < 1e-3, "⟨v{a}, v{b}⟩ = {dot}");
-            }
+        let m = magnet(&base.checked_mul(&scale).unwrap(), 3);
+        for x in [[5.0f32, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 5.0]] {
+            let g = m.score_gradient(&x).unwrap();
+            let norm = g.iter().map(|v| v * v).sum::<f32>().sqrt();
+            assert!(norm < 1e-3, "‖∇‖ = {norm} at {x:?}");
         }
     }
 }

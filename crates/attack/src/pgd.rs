@@ -1,16 +1,42 @@
 //! Projected gradient descent (Madry et al., ICLR'18) — the paper's cited
-//! state-of-the-art attack baseline.
+//! state-of-the-art attack, and the one gradient walk behind the paper's
+//! naturalness-guided fuzzer (RQ3) and the detector-aware adaptive attack.
 
 use crate::outcome::{check_seed, grad_one, predict_one};
 use crate::{Attack, AttackError, AttackOutcome, NormBall};
+use opad_detect::Detector;
 use opad_nn::Network;
 use opad_par::Rng;
 use opad_telemetry as telemetry;
 use opad_tensor::Tensor;
+use std::fmt;
 
-/// Projected gradient descent: iterated steepest-ascent steps on the loss,
-/// projected back onto the norm ball after every step, with optional
-/// random restarts.
+/// Projected gradient descent: iterated steepest-ascent steps, projected
+/// back onto the norm ball after every step, with optional random
+/// restarts, momentum and a detector guide.
+///
+/// Each step ascends `CE(f(x), y) − w·score(x)`, where `score` is the
+/// suspicion score of the guide set by [`Pgd::guided_by`] (`w = 0`
+/// without one):
+///
+/// * guided by an [`OpDensityDetector`](opad_detect::OpDensityDetector),
+///   whose score is the negated OP log-density, this is the paper's
+///   naturalness-guided fuzzer (RQ3): loss + λ·log p, with λ = w;
+/// * guided by any other detector, it is Carlini & Wagner's adaptive
+///   attack on that detector ("Adversarial Examples Are Not Easily
+///   Detected", AISec 2017).
+///
+/// With a naturalness bar τ ([`Pgd::with_min_naturalness`]), a
+/// misclassified iterate is accepted only when its naturalness
+/// `−score(x)` is at least τ: the paper's operational AE. A run whose last
+/// iterate is misclassified but unnatural reports the seed instead.
+///
+/// Restart 0 starts at the seed unless random start is on (the default);
+/// later restarts start at a random point in the ball. The run stops at
+/// the first accepted AE. Queries count one per gradient and one per
+/// prediction, plus one final prediction for each restart that ends
+/// without an accepted AE and one for the seed when a rejected candidate
+/// falls back to it. Guide gradients are not model queries.
 ///
 /// # Examples
 ///
@@ -21,8 +47,8 @@ use opad_tensor::Tensor;
 /// assert_eq!(pgd.steps(), 20);
 /// # Ok::<(), opad_attack::AttackError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Pgd {
+#[derive(Clone)]
+pub struct Pgd<'a> {
     ball: NormBall,
     steps: usize,
     step_size: f32,
@@ -30,9 +56,11 @@ pub struct Pgd {
     restarts: usize,
     clip: Option<(f32, f32)>,
     momentum: f32,
+    guide: Option<(&'a (dyn Detector + Sync), f32)>,
+    min_naturalness: Option<f64>,
 }
 
-impl Pgd {
+impl<'a> Pgd<'a> {
     /// Creates a PGD attack inside `ball`, running `steps` iterations of
     /// size `step_size`.
     ///
@@ -58,16 +86,18 @@ impl Pgd {
             restarts: 1,
             clip: None,
             momentum: 0.0,
+            guide: None,
+            min_naturalness: None,
         })
     }
 
-    /// Enables or disables the random start inside the ball.
+    /// Enables or disables the random start of restart 0.
     pub fn with_random_start(mut self, random_start: bool) -> Self {
         self.random_start = random_start;
         self
     }
 
-    /// Number of independent restarts (≥1; the best result wins).
+    /// Number of restarts (≥1); the run stops at the first accepted AE.
     pub fn with_restarts(mut self, restarts: usize) -> Self {
         self.restarts = restarts.max(1);
         self
@@ -104,6 +134,44 @@ impl Pgd {
         Ok(self)
     }
 
+    /// Guides every step by `detector`: the walk ascends
+    /// `CE − weight·score(x)`. With `weight = 0` the steps are plain PGD's,
+    /// and the guide only scores candidates against a naturalness bar.
+    ///
+    /// # Errors
+    ///
+    /// Fails for a negative or non-finite `weight`.
+    pub fn guided_by(
+        mut self,
+        detector: &'a (dyn Detector + Sync),
+        weight: f32,
+    ) -> Result<Self, AttackError> {
+        if weight < 0.0 || !weight.is_finite() {
+            return Err(AttackError::InvalidConfig {
+                reason: format!("guide weight must be nonnegative and finite, got {weight}"),
+            });
+        }
+        self.guide = Some((detector, weight));
+        Ok(self)
+    }
+
+    /// Accepts a misclassified iterate only when its naturalness
+    /// `−score(x)` under the guide is at least `tau` (a log-density bar
+    /// for an `OpDensityDetector` guide).
+    ///
+    /// # Errors
+    ///
+    /// Fails when no guide is set: call [`Pgd::guided_by`] first.
+    pub fn with_min_naturalness(mut self, tau: f64) -> Result<Self, AttackError> {
+        if self.guide.is_none() {
+            return Err(AttackError::InvalidConfig {
+                reason: "a naturalness bar needs a guide to score it".into(),
+            });
+        }
+        self.min_naturalness = Some(tau);
+        Ok(self)
+    }
+
     /// The perturbation ball.
     pub fn ball(&self) -> NormBall {
         self.ball
@@ -114,128 +182,140 @@ impl Pgd {
         self.steps
     }
 
-    /// Runs one restart; returns `(candidate, predicted, queries)`,
-    /// stopping early on success.
-    fn one_restart(
-        &self,
-        net: &mut Network,
-        seed: &Tensor,
-        label: usize,
-        rng: &mut Rng,
-    ) -> Result<(Tensor, usize, usize), AttackError> {
-        let mut x = if self.random_start {
-            let mut start = self.ball.sample(seed, rng);
-            if let Some((lo, hi)) = self.clip {
-                start = start.clamp(lo, hi);
-            }
-            start
-        } else {
-            seed.clone()
-        };
-        let mut queries = 0usize;
-        let mut g_acc = Tensor::zeros(seed.dims());
-        for _ in 0..self.steps {
-            let (_, g) = grad_one(net, &x, label)?;
-            queries += 1;
-            let g_eff = if self.momentum > 0.0 {
-                let l1 = g.norm_l1().max(1e-12);
-                g_acc = g_acc.scale(self.momentum);
-                g_acc.axpy(1.0 / l1, &g)?;
-                g_acc.clone()
-            } else {
-                g
-            };
-            let dir = self.ball.steepest_step(&g_eff);
-            x = x.checked_add(&dir.scale(self.step_size))?;
-            x = self.ball.project(seed, &x)?;
-            if let Some((lo, hi)) = self.clip {
-                x = x.clamp(lo, hi);
-            }
-            let predicted = predict_one(net, &x)?;
-            queries += 1;
-            if predicted != label {
-                return Ok((x, predicted, queries));
-            }
-        }
-        let predicted = predict_one(net, &x)?;
-        queries += 1;
-        Ok((x, predicted, queries))
-    }
-}
-
-impl Pgd {
-    /// Targeted variant: *descends* the loss toward `target` so the model
-    /// is steered to predict that class. Success means the candidate is
-    /// classified as `target`.
+    /// Targeted variant: *descends* the loss toward `target` (and, when
+    /// guided, the guide's score) until the model predicts `target`.
+    /// Success means the candidate is classified as `target`.
     ///
     /// # Errors
     ///
     /// Fails on bad seeds or network errors.
     pub fn run_targeted(
         &self,
-        net: &mut opad_nn::Network,
+        net: &mut Network,
         seed: &Tensor,
         target: usize,
         rng: &mut Rng,
     ) -> Result<AttackOutcome, AttackError> {
+        self.walk(net, seed, target, true, rng)
+    }
+
+    fn clip(&self, x: Tensor) -> Tensor {
+        match self.clip {
+            Some((lo, hi)) => x.clamp(lo, hi),
+            None => x,
+        }
+    }
+
+    /// Whether a misclassified iterate clears the naturalness bar. Each
+    /// iterate is scored, and its score recorded, at most once.
+    fn natural_enough(&self, x: &Tensor) -> Result<bool, AttackError> {
+        let (Some(tau), Some((guide, _))) = (self.min_naturalness, self.guide) else {
+            return Ok(true);
+        };
+        let naturalness = -guide.score(x.as_slice())?;
+        telemetry::histogram_record("attack.fuzz.naturalness", naturalness);
+        let natural = naturalness >= tau;
+        if !natural {
+            telemetry::counter_add("attack.fuzz.rejected_unnatural", 1);
+        }
+        Ok(natural)
+    }
+
+    /// The one step loop. An untargeted walk ascends the objective until
+    /// the prediction leaves `label`; a targeted walk descends it until the
+    /// prediction is `label`. Descent is the ascent step with its sign
+    /// flipped, and IEEE negation is exact, so both run the same
+    /// arithmetic.
+    fn walk(
+        &self,
+        net: &mut Network,
+        seed: &Tensor,
+        label: usize,
+        targeted: bool,
+        rng: &mut Rng,
+    ) -> Result<AttackOutcome, AttackError> {
         check_seed(seed)?;
-        let mut total_queries = 0usize;
-        let mut last: Option<(Tensor, usize)> = None;
-        for _ in 0..self.restarts {
-            let mut x = if self.random_start {
-                let mut start = self.ball.sample(seed, rng);
-                if let Some((lo, hi)) = self.clip {
-                    start = start.clamp(lo, hi);
-                }
-                start
-            } else {
-                seed.clone()
-            };
-            let mut hit = false;
-            let mut pred = usize::MAX;
+        let hit = |pred: usize| (pred == label) == targeted;
+        let sign = if targeted { -1.0 } else { 1.0 };
+        let mut queries = 0usize;
+        let mut x = seed.clone();
+        let mut pred = label;
+        let mut accepted = false;
+        for restart in 0..self.restarts {
+            if restart > 0 || self.random_start {
+                x = self.clip(self.ball.sample(seed, rng));
+            }
+            let mut velocity = Tensor::zeros(seed.dims());
             for _ in 0..self.steps {
-                let (_, g) = grad_one(net, &x, target)?;
-                total_queries += 1;
-                // Descend the loss toward the target class.
-                let dir = self.ball.steepest_step(&g);
-                x = x.checked_sub(&dir.scale(self.step_size))?;
-                x = self.ball.project(seed, &x)?;
-                if let Some((lo, hi)) = self.clip {
-                    x = x.clamp(lo, hi);
+                telemetry::counter_add("attack.fuzz.proposals", 1);
+                let (_, mut g) = grad_one(net, &x, label)?;
+                queries += 1;
+                if let Some((guide, w)) = self.guide.filter(|&(_, w)| w > 0.0) {
+                    let g_score = Tensor::from_vec(guide.score_gradient(x.as_slice())?, x.dims())?;
+                    g = g.checked_sub(&g_score.scale(sign * w))?;
                 }
+                if self.momentum > 0.0 {
+                    velocity = velocity.scale(self.momentum);
+                    velocity.axpy(1.0 / g.norm_l1().max(1e-12), &g)?;
+                    g = velocity.clone();
+                }
+                let step = self.ball.steepest_step(&g).scale(sign * self.step_size);
+                x = self.clip(self.ball.project(seed, &x.checked_add(&step)?)?);
                 pred = predict_one(net, &x)?;
-                total_queries += 1;
-                if pred == target {
-                    hit = true;
+                queries += 1;
+                if hit(pred) && self.natural_enough(&x)? {
+                    accepted = true;
                     break;
                 }
             }
-            if pred == usize::MAX {
-                pred = predict_one(net, &x)?;
-                total_queries += 1;
-            }
-            last = Some((x, pred));
-            if hit {
+            if accepted {
                 break;
             }
+            // A restart without an accepted AE ends on one more prediction
+            // of its last iterate, counted as a query.
+            pred = predict_one(net, &x)?;
+            queries += 1;
         }
-        let (cand, pred) = last.expect("at least one restart");
-        // For a targeted attack, "success" = predicted == target; reuse
-        // the untargeted outcome type by treating any label other than
-        // `target` as the "true" one for flagging purposes.
-        let delta = cand.checked_sub(seed)?;
+        if accepted {
+            telemetry::counter_add("attack.pgd.success", 1);
+            telemetry::counter_add("attack.fuzz.accepted", 1);
+            // Each step costs two queries (gradient + prediction), so
+            // queries/2 is the steps spent to find this AE.
+            telemetry::histogram_record("attack.pgd.iters_to_success", (queries / 2) as f64);
+        } else {
+            telemetry::counter_add("attack.pgd.failure", 1);
+            if hit(pred) {
+                // Misclassified but unnatural: not an operational AE, so
+                // the run reports the seed.
+                x = seed.clone();
+                pred = predict_one(net, seed)?;
+                queries += 1;
+            }
+        }
         Ok(AttackOutcome {
-            success: pred == target,
-            candidate: cand,
-            predicted: pred,
-            queries: total_queries,
-            linf: delta.norm_linf(),
-            l2: delta.norm_l2(),
+            success: hit(pred),
+            ..AttackOutcome::from_candidate(seed, x, pred, label, queries)?
         })
     }
 }
 
-impl Attack for Pgd {
+impl fmt::Debug for Pgd<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pgd")
+            .field("ball", &self.ball)
+            .field("steps", &self.steps)
+            .field("step_size", &self.step_size)
+            .field("random_start", &self.random_start)
+            .field("restarts", &self.restarts)
+            .field("clip", &self.clip)
+            .field("momentum", &self.momentum)
+            .field("guide", &self.guide.map(|(d, w)| (d.name(), w)))
+            .field("min_naturalness", &self.min_naturalness)
+            .finish()
+    }
+}
+
+impl Attack for Pgd<'_> {
     fn name(&self) -> &'static str {
         "pgd"
     }
@@ -247,29 +327,7 @@ impl Attack for Pgd {
         label: usize,
         rng: &mut Rng,
     ) -> Result<AttackOutcome, AttackError> {
-        check_seed(seed)?;
-        let mut total_queries = 0usize;
-        let mut last: Option<(Tensor, usize)> = None;
-        for _ in 0..self.restarts {
-            let (cand, pred, q) = self.one_restart(net, seed, label, rng)?;
-            total_queries += q;
-            let success = pred != label;
-            last = Some((cand, pred));
-            if success {
-                break;
-            }
-        }
-        let (cand, pred) = last.expect("at least one restart");
-        let outcome = AttackOutcome::from_candidate(seed, cand, pred, label, total_queries)?;
-        if outcome.success {
-            telemetry::counter_add("attack.pgd.success", 1);
-            // Each iteration costs two queries (gradient + prediction), so
-            // queries/2 is the iterations spent to find this AE.
-            telemetry::histogram_record("attack.pgd.iters_to_success", (total_queries / 2) as f64);
-        } else {
-            telemetry::counter_add("attack.pgd.failure", 1);
-        }
-        Ok(outcome)
+        self.walk(net, seed, label, false, rng)
     }
 }
 
@@ -328,7 +386,7 @@ mod tests {
         let mut fgsm_wins = 0;
         for i in 0..20 {
             let x = Tensor::from_slice(&[0.3 + 0.02 * i as f32, -0.2 + 0.02 * i as f32]);
-            let label = crate::outcome::predict_one(&mut net, &x).unwrap();
+            let label = predict_one(&mut net, &x).unwrap();
             if pgd.run(&mut net, &x, label, &mut r).unwrap().success {
                 pgd_wins += 1;
             }
@@ -357,7 +415,7 @@ mod tests {
             .with_momentum(0.9)
             .unwrap();
         let seed = Tensor::from_slice(&[0.1, 0.05]);
-        let label = crate::outcome::predict_one(&mut net, &seed).unwrap();
+        let label = predict_one(&mut net, &seed).unwrap();
         let out = mi.run(&mut net, &seed, label, &mut r).unwrap();
         // Momentum PGD still respects the ball and finds boundary flips.
         assert!(ball.contains(&seed, &out.candidate));
@@ -395,10 +453,8 @@ mod tests {
         let mut net = linear_victim();
         let pgd = Pgd::new(NormBall::linf(0.1).unwrap(), 5, 0.03).unwrap();
         let seed = Tensor::from_slice(&[0.05, 0.0]);
-        let mut r1 = rng();
-        let mut r2 = rng();
-        let a = pgd.run(&mut net, &seed, 1, &mut r1).unwrap();
-        let b = pgd.run(&mut net, &seed, 1, &mut r2).unwrap();
+        let a = pgd.run(&mut net, &seed, 1, &mut rng()).unwrap();
+        let b = pgd.run(&mut net, &seed, 1, &mut rng()).unwrap();
         assert_eq!(a, b);
     }
 

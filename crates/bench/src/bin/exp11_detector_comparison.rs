@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release -p opad-bench --bin exp11_detector_comparison`
 
-use opad_attack::{AdaptivePgd, Attack, NormBall, Pgd, RandomFuzz};
+use opad_attack::{Attack, NormBall, Pgd, RandomFuzz};
 use opad_bench::{build_cluster_world, print_header, print_row, ClusterWorldConfig, ExpRun};
 use opad_data::Dataset;
 use opad_detect::{
@@ -165,7 +165,7 @@ fn main() {
     {
         let mut eval = |name: &str, det: &(dyn Detector + Sync)| {
             let clean = score_batch(det, holdout.features()).expect("holdout scores");
-            let adaptive_attack = AdaptivePgd::new(det, ball, 20, 0.15, 1.0).unwrap();
+            let adaptive_attack = pgd.clone().guided_by(det, 1.0).expect("finite weight");
             let adaptive_aes = harvest(&adaptive_attack, &world.net, &world.test, 1103);
             assert!(
                 adaptive_aes.len() >= 10,

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p opad-bench --bin exp2_detection_efficiency`
 
-use opad_bench::campaign::CampaignParams;
+use opad_bench::campaign::{CampaignParams, CampaignResult};
 use opad_bench::density_percentile;
 use opad_bench::{
     attack_campaign, build_cluster_world, print_header, print_row, ClusterWorldConfig, ExpRun,
@@ -65,7 +65,7 @@ fn main() {
         (budget, r)
     });
     let mut rows = Vec::new();
-    for (i, (budget, r)) in results.into_iter().enumerate() {
+    for (i, &(budget, ref r)) in results.iter().enumerate() {
         {
             print_row(&[
                 format!("{budget}"),
@@ -79,7 +79,7 @@ fn main() {
             ]);
             rows.push(JsonValue::obj([
                 ("budget", budget.into()),
-                ("method", r.method.into()),
+                ("method", r.method.as_str().into()),
                 ("aes", r.aes.into()),
                 ("operational_aes", r.operational_aes.into()),
                 ("sum_truth_density", r.sum_truth_density.into()),
@@ -92,14 +92,51 @@ fn main() {
             println!("|---|---|---|---|---|---|---|---|");
         }
     }
+    // Per budget: each OP-aware arm's Σp(AE) over the best OP-blind arm's,
+    // and which side has more op-mass.
+    let mut ratios = Vec::new();
+    let (mut aware_mass, mut blind_mass) = (Vec::new(), Vec::new());
+    for rows in results.chunks(Method::all().len()) {
+        let of = |m: Method| {
+            let row = rows.iter().find(|(_, r)| r.method == m.name());
+            &row.expect("every method runs at every budget").1
+        };
+        let best = |ms: &[Method], f: fn(&CampaignResult) -> f64| {
+            ms.iter().map(|&m| f(of(m))).fold(f64::MIN, f64::max)
+        };
+        let blind = [
+            Method::UniformRandom,
+            Method::UniformFgsm,
+            Method::UniformPgd,
+        ];
+        let aware = [Method::OpPgd, Method::Opad];
+        let blind_sum = best(&blind, |r| r.sum_truth_density);
+        ratios.extend(aware.map(|m| of(m).sum_truth_density / blind_sum));
+        let budget = rows[0].0.to_string();
+        if best(&aware, |r| r.op_mass) >= best(&blind, |r| r.op_mass) {
+            aware_mass.push(budget);
+        } else {
+            blind_mass.push(budget);
+        }
+    }
+    let lo = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = ratios.iter().copied().fold(lo, f64::max);
+    let list = |v: &[String]| {
+        if v.is_empty() {
+            "none".to_string()
+        } else {
+            v.join(", ")
+        }
+    };
     println!(
         "\nReading: the `op-AEs` (AEs clearing the operational-plausibility bar)\n\
          and `Σp(AE)` (total encounter-rate weight of discovered failures)\n\
-         columns are the paper's effectiveness notion — the OP-aware arms beat\n\
-         the OP-ignorant baselines by 3–9× at every budget. The coarse\n\
-         cell-mass column saturates (the op arms concentrate on few heavy\n\
-         cells) and the baselines' extra cells are precisely the\n\
-         '5,000-year bugs' the paper warns budgets are wasted on."
+         columns are the paper's effectiveness notion. Across budgets the\n\
+         OP-aware arms' Σp(AE) is {lo:.1}–{hi:.1}× the best OP-blind arm's.\n\
+         The op-mass column favours the OP-aware arms at budgets {} and\n\
+         the OP-blind ones at {}.",
+        list(&aware_mass),
+        list(&blind_mass)
     );
     run.finish(JsonValue::Arr(rows));
 }

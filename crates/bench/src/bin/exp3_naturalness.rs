@@ -1,5 +1,5 @@
 //! E3 — Naturalness/operational-ness of the AEs each method finds, and a
-//! λ-sweep for the naturalness-guided fuzzer.
+//! λ-sweep for naturalness-guided PGD.
 //!
 //! Reported: mean log-density of found AEs under the *ground-truth* OP
 //! (higher = more operational), plus the fraction of AEs clearing a
@@ -7,13 +7,14 @@
 //!
 //! Run with: `cargo run --release -p opad-bench --bin exp3_naturalness`
 
-use opad_attack::{Attack, DensityNaturalness, NaturalFuzz, NormBall};
+use opad_attack::{Attack, NormBall, Pgd};
 use opad_bench::campaign::CampaignParams;
 use opad_bench::{
     attack_campaign, build_cluster_world, print_header, print_row, ClusterWorldConfig, ExpRun,
     Method,
 };
 use opad_core::{classify_outcome, AeCorpus, SeedSampler, SeedWeighting};
+use opad_detect::OpDensityDetector;
 use opad_opmodel::Density;
 use opad_par::Rng;
 use opad_telemetry::JsonValue;
@@ -96,17 +97,22 @@ fn main() {
     }
     println!("|---|---|---|---|");
 
-    // Part 2: λ sweep for the guided fuzzer (λ=0 degenerates to PGD
-    // without random start).
+    // Part 2: λ sweep for naturalness-guided PGD (λ=0 is PGD starting at
+    // the seed).
     let ball = NormBall::linf(0.3).unwrap();
-    let naturalness = DensityNaturalness::new(base.op.density().clone());
+    let guide = OpDensityDetector::new(base.op.density().clone());
     let sampler = SeedSampler::new(SeedWeighting::OpTimesMargin);
-    for &lambda in &[0.0f32, 0.5, 1.0, 2.0, 4.0] {
+    let lambdas = [0.0f32, 0.5, 1.0, 2.0, 4.0];
+    let mut columns: [Vec<f64>; 3] = Default::default();
+    for lambda in lambdas {
         let mut net = base.net.clone();
         let mut rng = Rng::seed_from_u64(43);
-        let fuzz = NaturalFuzz::new(&naturalness, ball, 15, 0.06, lambda)
-            .unwrap()
-            .with_restarts(2);
+        let fuzz = Pgd::new(ball, 15, 0.06)
+            .expect("nonzero steps")
+            .with_random_start(false)
+            .with_restarts(2)
+            .guided_by(&guide, lambda)
+            .expect("finite weight");
         let weights = sampler
             .weights(&mut net, &base.field, Some(base.op.density()))
             .unwrap();
@@ -132,6 +138,9 @@ fn main() {
                 / corpus.len() as f64
         };
         let frac = natural_fraction(&corpus);
+        for (column, value) in columns.iter_mut().zip([corpus.len() as f64, mean_ld, frac]) {
+            column.push(value);
+        }
         let setting = format!("natural-fuzz λ={lambda}");
         print_row(&[
             setting.clone(),
@@ -147,10 +156,29 @@ fn main() {
         ]));
     }
 
+    let [count, mean_ld, frac] = columns.map(|c| trend(&lambdas, &c));
     println!(
-        "\nReading: increasing λ trades raw AE count for naturalness — the mean\n\
-         ground-truth log-density and natural fraction should rise with λ while\n\
-         the count falls. Operational AEs ⊂ natural AEs ⊂ all AEs (Sec. I)."
+        "\nReading: as λ goes from 0 to 4, the AE count {count},\n\
+         the mean ground-truth log-density {mean_ld},\n\
+         and the natural fraction {frac}.\n\
+         Operational AEs ⊂ natural AEs ⊂ all AEs (Sec. I)."
     );
     run.finish(JsonValue::Arr(rows));
+}
+
+/// How a column moves along the λ sweep.
+fn trend(lambdas: &[f32], column: &[f64]) -> String {
+    let rises = column.windows(2).all(|w| w[1] >= w[0]);
+    let falls = column.windows(2).all(|w| w[1] <= w[0]);
+    match (rises, falls) {
+        (true, true) => "is flat".into(),
+        (true, false) => "rises".into(),
+        (false, true) => "falls".into(),
+        (false, false) => {
+            let top = (0..column.len())
+                .max_by(|&a, &b| column[a].total_cmp(&column[b]))
+                .expect("the sweep has rows");
+            format!("is not monotone (highest at λ = {})", lambdas[top])
+        }
+    }
 }

@@ -13,10 +13,11 @@
 //!
 //! Run with: `cargo run --release -p opad-bench --bin exp7_budget_to_target`
 
-use opad_attack::{Attack, DensityNaturalness, NaturalFuzz, NormBall, Pgd};
+use opad_attack::{Attack, NormBall, Pgd};
 use opad_bench::{build_cluster_world, print_header, print_row, ClusterWorldConfig, ExpRun};
 use opad_core::{LoopConfig, RetrainConfig, SeedWeighting, ShardedCampaign, ShardedConfig};
 use opad_data::{gaussian_clusters, GaussianClustersConfig};
+use opad_detect::OpDensityDetector;
 use opad_nn::Network;
 use opad_par::Rng;
 use opad_reliability::ReliabilityTarget;
@@ -83,12 +84,15 @@ fn main() {
         separation: cfg.separation,
         std: cfg.std,
     };
-    let naturalness = DensityNaturalness::new(base.op.density().clone());
+    let guide = OpDensityDetector::new(base.op.density().clone());
     let ball = NormBall::linf(0.3).unwrap();
     let pgd = Pgd::new(ball, 12, 0.06).unwrap();
-    let natural = NaturalFuzz::new(&naturalness, ball, 12, 0.06, 1.5)
-        .unwrap()
-        .with_restarts(2);
+    let natural = Pgd::new(ball, 12, 0.06)
+        .expect("nonzero steps")
+        .with_random_start(false)
+        .with_restarts(2)
+        .guided_by(&guide, 1.5)
+        .expect("finite weight");
 
     let run = ExpRun::begin(
         "exp7_budget_to_target",
@@ -204,26 +208,55 @@ fn main() {
         .collect();
     let start = trajectories[0].true_pfd_per_round[0];
     let reachable = best_pfds.iter().cloned().fold(f64::INFINITY, f64::min);
+    // Per target: which arms reached it first, and whether an operational
+    // arm beat uniform+pgd (arm 0) to it.
+    let mut firsts = Vec::new();
+    let mut operational_wins = 0;
     for frac in [0.8, 0.6, 0.4] {
         let target = reachable + frac * (start - reachable);
+        let hits: Vec<Option<usize>> = trajectories
+            .iter()
+            .map(|t| {
+                t.true_pfd_per_round
+                    .iter()
+                    .position(|&p| p <= target)
+                    .map(|r| r * t.tests_per_round)
+            })
+            .collect();
         let mut cells = vec![format!("{target:.4}")];
-        for t in &trajectories {
-            let hit = t
-                .true_pfd_per_round
-                .iter()
-                .position(|&p| p <= target)
-                .map(|r| format!("{}", r * t.tests_per_round))
-                .unwrap_or_else(|| "—".into());
-            cells.push(hit);
-        }
+        cells.extend(hits.iter().map(|h| h.map_or("—".into(), |n| n.to_string())));
         print_row(&cells);
+        let first = hits.iter().flatten().min().copied();
+        firsts.push(match first {
+            None => format!("{target:.4}: no arm"),
+            Some(n) if hits.iter().all(|&h| h == Some(n)) => {
+                format!("{target:.4}: a tie at {n} tests")
+            }
+            Some(n) => {
+                let arms: Vec<&str> = trajectories
+                    .iter()
+                    .zip(&hits)
+                    .filter(|(_, &h)| h == Some(n))
+                    .map(|(t, _)| t.method.as_str())
+                    .collect();
+                format!("{target:.4}: {} first, at {n} tests", arms.join(" and "))
+            }
+        });
+        if let Some(n) = hits[1..].iter().flatten().min() {
+            if hits[0].is_none_or(|uniform| *n < uniform) {
+                operational_wins += 1;
+            }
+        }
     }
 
+    println!("\nReading: all arms spend identical budgets per round. Per target:");
+    for first in &firsts {
+        println!("- {first}");
+    }
     println!(
-        "\nReading: all arms spend identical budgets per round; the operational\n\
-         arms convert theirs into *delivered* reliability faster because their\n\
-         detections (and retraining weights) concentrate on the demands the\n\
-         OP will actually issue — the paper's headline claim."
+        "The paper's headline claim, that an operational arm reaches a target in\n\
+         fewer tests than uniform+pgd, holds at {operational_wins} of {} targets on this run.",
+        firsts.len()
     );
     run.finish(JsonValue::arr(trajectories.iter().map(Trajectory::to_json)));
 }

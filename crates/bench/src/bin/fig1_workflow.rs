@@ -6,9 +6,10 @@
 //!
 //! Run with: `cargo run --release -p opad-bench --bin fig1_workflow`
 
-use opad_attack::{DensityNaturalness, NaturalFuzz, NormBall};
+use opad_attack::{NormBall, Pgd};
 use opad_bench::{build_cluster_world, ClusterWorldConfig, ExpRun};
 use opad_core::{LoopConfig, RetrainConfig, SeedWeighting, ShardedCampaign, ShardedConfig};
+use opad_detect::OpDensityDetector;
 use opad_reliability::{Assessment, ReliabilityTarget};
 use opad_telemetry::JsonValue;
 
@@ -48,10 +49,13 @@ fn main() {
     );
     println!("└────────────────────────────────────────────────────────────────┘");
 
-    let naturalness = DensityNaturalness::new(base.op.density().clone());
-    let attack = NaturalFuzz::new(&naturalness, NormBall::linf(0.3).unwrap(), 15, 0.06, 1.5)
-        .unwrap()
-        .with_restarts(2);
+    let guide = OpDensityDetector::new(base.op.density().clone());
+    let attack = Pgd::new(NormBall::linf(0.3).expect("positive radius"), 15, 0.06)
+        .expect("nonzero steps")
+        .with_random_start(false)
+        .with_restarts(2)
+        .guided_by(&guide, 1.5)
+        .expect("finite weight");
     let target = ReliabilityTarget::new(0.10, 0.90).unwrap();
     let config = LoopConfig {
         seeds_per_round: 40,

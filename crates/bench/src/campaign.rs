@@ -1,9 +1,10 @@
 //! Attack campaigns: run one test-generation method over a seed budget
 //! and score what it found on the operational yardsticks.
 
-use opad_attack::{Attack, DensityNaturalness, Fgsm, NaturalFuzz, NormBall, Pgd, RandomFuzz};
+use opad_attack::{Attack, Fgsm, NormBall, Pgd, RandomFuzz};
 use opad_core::{classify_outcome, AeCorpus, SeedSampler, SeedWeighting};
 use opad_data::Dataset;
+use opad_detect::OpDensityDetector;
 use opad_nn::Network;
 use opad_opmodel::{CentroidPartition, Density, Gmm, Partition};
 use opad_par::Rng;
@@ -20,7 +21,7 @@ pub enum Method {
     /// OP×margin-weighted seeds, PGD — operational seeding without
     /// naturalness guidance.
     OpPgd,
-    /// The paper's method: OP×margin seeds + naturalness-guided fuzzing.
+    /// The paper's method: OP×margin seeds + naturalness-guided PGD.
     Opad,
 }
 
@@ -135,7 +136,7 @@ pub fn density_percentile(truth: &Gmm, data: &Dataset, frac: f64) -> f64 {
 }
 
 /// Runs `method` with `budget` seeds on the field data and scores the
-/// result. Naturalness for the opad method comes from the *learned* OP
+/// result. The opad method's guide is the *learned* OP
 /// (`learned_density`); scoring uses the *ground truth* (`truth`).
 ///
 /// # Panics
@@ -155,7 +156,7 @@ pub fn attack_campaign(
     rng: &mut Rng,
 ) -> CampaignResult {
     let ball = NormBall::linf(params.epsilon).unwrap();
-    let naturalness = DensityNaturalness::new(learned_density.clone());
+    let guide = OpDensityDetector::new(learned_density.clone());
     // OP-ignorant baselines follow standard practice: attack the balanced
     // held-out test set. Operational methods seed from field data.
     let pool = match method {
@@ -174,15 +175,12 @@ pub fn attack_campaign(
             Box::new(Pgd::new(ball, params.steps, params.step_size).unwrap())
         }
         Method::Opad => Box::new(
-            NaturalFuzz::new(
-                &naturalness,
-                ball,
-                params.steps,
-                params.step_size,
-                params.lambda,
-            )
-            .unwrap()
-            .with_restarts(2),
+            Pgd::new(ball, params.steps, params.step_size)
+                .expect("nonzero steps")
+                .with_random_start(false)
+                .with_restarts(2)
+                .guided_by(&guide, params.lambda)
+                .expect("finite weight"),
         ),
     };
 

@@ -12,7 +12,8 @@
 //! 2. **Sample seeds** (RQ2) — [`SeedSampler`] with auxiliary-information
 //!    weightings ([`SeedWeighting`]);
 //! 3. **Fuzz** (RQ3) — any `opad_attack::Attack`, canonically
-//!    `opad_attack::NaturalFuzz`;
+//!    `opad_attack::Pgd` guided by the OP density
+//!    (`Pgd::guided_by(&OpDensityDetector, λ)`);
 //! 4. **Retrain** (RQ4) — [`retrain_with_aes`], OP-weighted;
 //! 5. **Assess** (RQ5) — `opad_reliability::CellReliabilityModel`, whose
 //!    cell priorities feed back into step 2.

@@ -5,7 +5,7 @@
 use crate::PipelineError;
 use opad_data::Dataset;
 use opad_nn::{prediction_entropy, prediction_margin, Network};
-use opad_opmodel::{log_density_batch, Density, Partition};
+use opad_opmodel::{log_density_batch, Density};
 use opad_par::Rng;
 use opad_telemetry::JsonValue;
 
@@ -121,36 +121,31 @@ impl SeedSampler {
     }
 
     /// Multiplies `weights` by the reliability model's per-cell testing
-    /// priority — the RQ5 → RQ2 feedback arrow of Figure 1.
+    /// priority — the RQ5 → RQ2 feedback arrow of Figure 1. `cells[i]` is
+    /// the OP cell of sample `i`, as the caller already assigned it.
     ///
     /// # Errors
     ///
-    /// Fails on length mismatches or partition errors.
-    pub fn apply_cell_priority<P: Partition>(
+    /// Fails when `weights` and `cells` differ in length, or a cell has no
+    /// priority.
+    pub fn apply_cell_priority(
         &self,
         weights: &mut [f64],
-        data: &Dataset,
-        partition: &P,
+        cells: &[usize],
         priority: &[f64],
     ) -> Result<(), PipelineError> {
-        if weights.len() != data.len() {
+        if weights.len() != cells.len() {
             return Err(PipelineError::InvalidConfig {
-                reason: format!("{} weights for {} samples", weights.len(), data.len()),
+                reason: format!("{} weights for {} samples", weights.len(), cells.len()),
             });
         }
-        if priority.len() != partition.num_cells() {
-            return Err(PipelineError::InvalidConfig {
-                reason: format!(
-                    "{} priorities for {} cells",
-                    priority.len(),
-                    partition.num_cells()
-                ),
-            });
-        }
-        let d = data.feature_dim();
-        for (i, w) in weights.iter_mut().enumerate() {
-            let cell = partition.cell_of(&data.features().as_slice()[i * d..(i + 1) * d])?;
-            *w *= priority[cell].max(1e-12);
+        for (w, &cell) in weights.iter_mut().zip(cells) {
+            let Some(&p) = priority.get(cell) else {
+                return Err(PipelineError::InvalidConfig {
+                    reason: format!("cell {cell} has no priority ({} cells)", priority.len()),
+                });
+            };
+            *w *= p.max(1e-12);
         }
         Ok(())
     }
@@ -381,7 +376,7 @@ impl SeedWeightAccumulator {
 mod tests {
     use super::*;
     use opad_nn::{Activation, Network};
-    use opad_opmodel::{Gmm, GmmComponent};
+    use opad_opmodel::{Gmm, GmmComponent, Partition};
     use opad_tensor::Tensor;
 
     fn rng() -> Rng {
@@ -518,20 +513,22 @@ mod tests {
             Tensor::from_vec(vec![0.0, 0.0, 5.0, 5.0], &[2, 2]).unwrap(),
         )
         .unwrap();
-        // All priority on cell 0 (the origin).
-        s.apply_cell_priority(&mut w, &data, &partition, &[1.0, 0.0])
+        let cells: Vec<usize> = (0..data.len())
+            .map(|i| partition.cell_of(data.features().row(i).unwrap().as_slice()))
+            .collect::<Result<_, _>>()
             .unwrap();
+        assert_eq!(cells, [0, 0, 1, 1]);
+        // All priority on cell 0 (the origin).
+        s.apply_cell_priority(&mut w, &cells, &[1.0, 0.0]).unwrap();
         assert!(w[0] > 0.0 && w[1] > 0.0);
         assert!(w[2] < 1e-6 && w[3] < 1e-6);
-        // Validation.
+        // Validation: a length mismatch, and a cell without a priority.
         let mut short = vec![1.0];
         assert!(s
-            .apply_cell_priority(&mut short, &data, &partition, &[1.0, 0.0])
+            .apply_cell_priority(&mut short, &cells, &[1.0, 0.0])
             .is_err());
         let mut w2 = vec![1.0; 4];
-        assert!(s
-            .apply_cell_priority(&mut w2, &data, &partition, &[1.0])
-            .is_err());
+        assert!(s.apply_cell_priority(&mut w2, &cells, &[1.0]).is_err());
     }
 
     #[test]

@@ -377,7 +377,16 @@ impl<D: Density> ShardedCampaign<D> {
         let mut retrain_rng = purpose_rng(round_seed, PURPOSE_RETRAIN);
 
         let ranges = shard_ranges(self.partition.num_cells(), self.config.shards);
-        let pool_cells = self.row_cells(seed_pool)?;
+        // Each dataset's rows are assigned to cells once per round; a pool
+        // that is the field data itself shares the field's assignment.
+        let field_cells = self.row_cells(field_data)?;
+        let own_pool_cells;
+        let pool_cells = if std::ptr::eq(seed_pool, field_data) {
+            &field_cells
+        } else {
+            own_pool_cells = self.row_cells(seed_pool)?;
+            &own_pool_cells
+        };
 
         // ---- Step 2: sharded weight accumulation + global sampling. ----
         let step_start = Instant::now();
@@ -408,12 +417,8 @@ impl<D: Density> ShardedCampaign<D> {
             let mut weights = acc.finalize(seed_pool.len())?;
             if self.config.base.priority_feedback && round > 0 {
                 let priority = self.reliability.cell_priority();
-                self.sampler.apply_cell_priority(
-                    &mut weights,
-                    seed_pool,
-                    &self.partition,
-                    &priority,
-                )?;
+                self.sampler
+                    .apply_cell_priority(&mut weights, pool_cells, &priority)?;
             }
             let k = self.config.base.seeds_per_round.min(seed_pool.len());
             self.sampler.sample(&weights, k, &mut sample_rng)?
@@ -511,7 +516,7 @@ impl<D: Density> ShardedCampaign<D> {
         let op_accuracy = {
             let _span = telemetry::span("evaluate");
             let mut cell_points: Vec<Vec<usize>> = vec![Vec::new(); self.partition.num_cells()];
-            for (i, cell) in self.row_cells(field_data)?.into_iter().enumerate() {
+            for (i, &cell) in field_cells.iter().enumerate() {
                 cell_points[cell].push(i);
             }
             let quota = apportion(&self.cell_op, self.config.base.eval_per_round);

@@ -81,7 +81,8 @@ fn run_round_emits_expected_spans_and_counters() {
     // The history plane needs the drift threshold from the first round on.
     let floor = drift_threshold(lp.alert_rules());
     assert_eq!(recorder.gauge("pipeline.naturalness_floor"), Some(floor));
-    let attack = Pgd::new(NormBall::linf(0.3).unwrap(), 10, 0.08).unwrap();
+    // A wide ball, so the round finds AEs on these well-separated clusters.
+    let attack = Pgd::new(NormBall::linf(1.0).unwrap(), 10, 0.2).unwrap();
     let report: RoundReport = lp.run_round(&field, &train, &attack).unwrap();
 
     // A resumed campaign publishes its floor again: clobber the gauge so
@@ -159,10 +160,17 @@ fn run_round_emits_expected_spans_and_counters() {
     assert!(cells_hit <= report.aes_found as u64);
     let pfd_mean = s.gauge("pipeline.pfd_mean").unwrap();
     assert!((pfd_mean - report.pfd_mean).abs() < 1e-12);
-    // The attack layer saw exactly the attacked seeds.
+    // The attack layer saw exactly the attacked seeds, and counted every
+    // AE it found as accepted: the default pack's `fuzz_dead` rule
+    // watches that counter.
     let pgd_total =
         s.counter("attack.pgd.success").unwrap_or(0) + s.counter("attack.pgd.failure").unwrap_or(0);
     assert_eq!(pgd_total, report.seeds_attacked as u64);
+    assert!(report.aes_found > 0, "the PGD round found no AEs");
+    assert_eq!(
+        s.counter("attack.fuzz.accepted"),
+        Some(report.aes_found as u64)
+    );
     // The report's step timings come from the same clock as the spans: the
     // round span's wall time matches the report within measurement noise.
     let round_span = s.span("round").expect("round span aggregated");

@@ -5,8 +5,8 @@
 //! never encounter contributes nothing to operational unreliability. This
 //! wrapper turns any prefit [`Density`] into a [`Detector`] so the OP
 //! signal competes in the same ROC harness as the literature detectors,
-//! and so `opad-attack`'s naturalness oracle routes through the shared
-//! trait.
+//! and so it can guide `opad-attack`'s `Pgd`: the naturalness-guided
+//! fuzzer is PGD guided by this detector.
 
 use crate::{DetectError, Detector};
 use opad_data::Dataset;

@@ -232,6 +232,19 @@ mod tests {
     }
 
     #[test]
+    fn pca_full_rank_reconstructs_everything() {
+        let mut rng = opad_par::Rng::seed_from_u64(0);
+        let data = Tensor::rand_normal(&[100, 3], 0.0, 1.0, &mut rng);
+        let pca = Pca::fit(&data, 3).unwrap();
+        assert_eq!(pca.num_components(), 3);
+        for i in 0..5 {
+            let x = data.row(i).unwrap();
+            let err = pca.reconstruction_error(x.as_slice()).unwrap();
+            assert!(err < 1e-3, "row {i} error {err}");
+        }
+    }
+
+    #[test]
     fn pca_validation() {
         let data = Tensor::zeros(&[10, 3]);
         assert!(Pca::fit(&data, 0).is_err());

@@ -29,8 +29,6 @@ pub enum MetricKind {
 /// bearing.
 pub const KNOWN_METRICS: &[(&str, MetricKind)] = &[
     // Counters.
-    ("attack.adaptive.failure", MetricKind::Counter),
-    ("attack.adaptive.success", MetricKind::Counter),
     ("attack.fuzz.accepted", MetricKind::Counter),
     ("attack.fuzz.proposals", MetricKind::Counter),
     ("attack.fuzz.rejected_unnatural", MetricKind::Counter),

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let op = learn_op_gmm(&field, 6, 25, &mut rng)?;
     let partition = CentroidPartition::fit(field.features(), 16, 25, &mut rng)?;
     let cell_op = partition.cell_distribution(field.features(), 0.5)?;
-    let naturalness = DensityNaturalness::new(op.density().clone());
+    let guide = OpDensityDetector::new(op.density().clone());
     let ball = NormBall::linf(0.25)?;
     const SEEDS: usize = 60;
 
@@ -48,7 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pgd = Pgd::new(ball, 20, 0.06)?;
     let fgsm = Fgsm::new(0.25)?;
     let rand_fuzz = RandomFuzz::new(ball, 40)?;
-    let nat_fuzz = NaturalFuzz::new(&naturalness, ball, 20, 0.06, 1.5)?.with_restarts(2);
+    let nat_fuzz = Pgd::new(ball, 20, 0.06)?
+        .with_random_start(false)
+        .with_restarts(2)
+        .guided_by(&guide, 1.5)?;
 
     let run = |name: &str,
                attack: &dyn Attack,

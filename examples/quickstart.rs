@@ -50,10 +50,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let weights = sampler.weights(&mut net, &field, Some(op.density()))?;
     let seeds = sampler.sample(&weights, 40, &mut rng)?;
 
-    // 5. RQ3 — naturalness-guided fuzzing around each seed.
-    let naturalness = DensityNaturalness::new(op.density().clone());
+    // 5. RQ3 — naturalness-guided fuzzing around each seed: PGD guided by
+    // the learned OP density.
+    let guide = OpDensityDetector::new(op.density().clone());
     let ball = NormBall::linf(0.4)?;
-    let fuzz = NaturalFuzz::new(&naturalness, ball, 25, 0.08, 1.0)?.with_restarts(2);
+    let fuzz = Pgd::new(ball, 25, 0.08)?
+        .with_random_start(false)
+        .with_restarts(2)
+        .guided_by(&guide, 1.0)?;
     let partition = CentroidPartition::fit(field.features(), 12, 25, &mut rng)?;
     let cell_op = partition.cell_distribution(field.features(), 0.5)?;
 

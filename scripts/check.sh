@@ -54,6 +54,13 @@ OPAD_THREADS=4 cargo test -q --test shard_equivalence
 echo "==> checkpoint round-trip (freeze/thaw byte-identity; truncation and tamper rejection)"
 cargo test -q --test checkpoint_roundtrip
 
+# Pgd's one step loop against the four loops it replaced (plain,
+# targeted, naturalness-guided and adaptive), kept as reference
+# functions: candidate bits, labels, success and RNG state over 1,440
+# seeded configurations.
+echo "==> one-loop reference (guided Pgd == the replaced attack loops, bit for bit)"
+cargo test -q -p opad-attack --test one_loop_reference
+
 # The detector zoo's cross-detector contracts: shard-merge bit-equality
 # at {1,2,4,8} shards, thread-count invariance of score_batch, and the
 # golden ROC/AUROC pins with the degenerate-input suite (errors, never
@@ -138,6 +145,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # conv net and a KDE profile. It writes no files.
 echo "==> glyph_pipeline example (the Fig.-1 loop on 12x12 glyphs, conv net, KDE profile)"
 cargo run --release -q --example glyph_pipeline
+
+# The paper's method end to end: E2, E3 and E7 attack with the guided
+# Pgd, and Fig. 1 runs it through the loop. ExpRun writes results/
+# relative to the working directory, so they run in a scratch directory
+# with its own results/ and the committed envelopes stay as they are.
+echo "==> paper experiments (E2, E3, E7, Fig. 1) from a scratch directory"
+ROOT="$PWD"
+EXP_DIR="$(mktemp -d)"
+trap 'rm -rf "$EXP_DIR"' EXIT
+mkdir "$EXP_DIR/results"
+for bin in exp2_detection_efficiency exp3_naturalness exp7_budget_to_target fig1_workflow; do
+  (cd "$EXP_DIR" && cargo run --release -q --manifest-path "$ROOT/Cargo.toml" \
+    -p opad-bench --bin "$bin" >/dev/null)
+done
 
 # The example runs with the server held open afterwards so obsctl can
 # watch its /timeseries live — the end-to-end smoke for the history

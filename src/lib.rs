@@ -12,8 +12,10 @@
 //! * [`nn`] — from-scratch neural networks with input gradients;
 //! * [`data`] — procedural datasets with controllable class skew;
 //! * [`opmodel`] — operational profiles: densities, partitions, drift;
-//! * [`attack`] — FGSM/PGD baselines, the naturalness-guided fuzzer and
-//!   the detector-aware (Carlini–Wagner) adaptive attack;
+//! * [`attack`] — FGSM, random fuzzing and PGD, whose detector guide
+//!   makes it the paper's naturalness-guided fuzzer (guided by the OP
+//!   density) or the Carlini–Wagner adaptive attack (guided by any other
+//!   detector);
 //! * [`detect`] — the detector zoo behind one [`detect::Detector`]
 //!   trait: LID, feature squeezing, MagNet reconstruction, DLA and the
 //!   paper's OP-density signal, plus ROC/AUROC evaluation;
@@ -71,10 +73,7 @@ pub use opad_tsdb as tsdb;
 /// One-stop imports for examples and downstream binaries.
 pub mod prelude {
     pub use opad_alert::{parse_rules, AlertCenter, AlertState, AlertWatch, Transition};
-    pub use opad_attack::{
-        AdaptivePgd, Attack, AttackOutcome, DensityNaturalness, Fgsm, NaturalFuzz, Naturalness,
-        NormBall, PcaNaturalness, Pgd, RandomFuzz,
-    };
+    pub use opad_attack::{Attack, AttackOutcome, Fgsm, NormBall, Pgd, RandomFuzz};
     pub use opad_core::{
         classify_outcome, read_checkpoint, retrain_with_aes, shard_ranges, AeCorpus,
         CampaignCheckpoint, DetectedAe, DetectorRoundScore, LoopConfig, PipelineError,

@@ -1,4 +1,4 @@
-//! Cross-crate integration: OP learning quality, naturalness oracles on
+//! Cross-crate integration: OP learning quality, naturalness signals on
 //! image data, and the conv-net + attack chain.
 
 use opad::nn::{ActivationLayer, Conv2d, Dense, Layer, MaxPool2d};
@@ -108,19 +108,20 @@ fn pca_naturalness_flags_adversarial_noise_on_glyphs() {
         ..Default::default()
     };
     let data = glyphs(&gcfg, 300, &uniform_probs(4), &mut rng).unwrap();
-    let pca = PcaNaturalness::fit(data.features(), 12).unwrap();
-    // A clean glyph scores higher than the same glyph under large uniform
-    // noise (off-manifold).
+    let mut magnet = Magnet::new(data.feature_dim(), 12).unwrap();
+    magnet.fit(&data).unwrap();
+    // A clean glyph scores less suspicious than the same glyph under large
+    // uniform noise (off-manifold).
     let (clean, _) = data.sample(0).unwrap();
     let noisy = {
         let noise = Tensor::rand_uniform(clean.dims(), -0.5, 0.5, &mut rng);
         clean.checked_add(&noise).unwrap().clamp(0.0, 1.0)
     };
-    let s_clean = pca.score(clean.as_slice()).unwrap();
-    let s_noisy = pca.score(noisy.as_slice()).unwrap();
+    let s_clean = magnet.score(clean.as_slice()).unwrap();
+    let s_noisy = magnet.score(noisy.as_slice()).unwrap();
     assert!(
-        s_clean > s_noisy,
-        "clean {s_clean} should beat noisy {s_noisy}"
+        s_clean < s_noisy,
+        "clean {s_clean} should score below noisy {s_noisy}"
     );
 }
 

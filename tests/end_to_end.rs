@@ -92,13 +92,17 @@ fn full_loop_runs_and_reports_consistently() {
 fn detected_aes_satisfy_the_operational_ae_definition() {
     let w = build_world(3);
     let mut net = w.net;
-    let naturalness = DensityNaturalness::new(w.op.density().clone());
+    let guide = OpDensityDetector::new(w.op.density().clone());
     let ball = NormBall::linf(0.3).unwrap();
     let tau = -6.0; // log-density bar
-    let fuzz = NaturalFuzz::new(&naturalness, ball, 20, 0.06, 1.0)
+    let fuzz = Pgd::new(ball, 20, 0.06)
+        .unwrap()
+        .with_random_start(false)
+        .with_restarts(2)
+        .guided_by(&guide, 1.0)
         .unwrap()
         .with_min_naturalness(tau)
-        .with_restarts(2);
+        .unwrap();
     let sampler = SeedSampler::new(SeedWeighting::OpTimesMargin);
     let mut rng = Rng::seed_from_u64(4);
     let weights = sampler

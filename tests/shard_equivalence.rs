@@ -55,7 +55,7 @@ fn world() -> World {
     }
 }
 
-fn attack() -> Pgd {
+fn attack() -> Pgd<'static> {
     Pgd::new(NormBall::linf(0.3).unwrap(), 10, 0.08).unwrap()
 }
 
