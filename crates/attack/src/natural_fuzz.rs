@@ -6,7 +6,7 @@
 #[cfg(test)]
 mod tests {
     use crate::outcome::predict_one;
-    use crate::tests_support::{op_guide, rng, trained_victim};
+    use crate::tests_support::{linear_victim, op_guide, rng, trained_victim};
     use crate::{Attack, NormBall, Pgd};
     use opad_detect::{Detector, OpDensityDetector};
     use opad_opmodel::{Density, Gmm};
@@ -71,6 +71,31 @@ mod tests {
         // (when a misclassified-but-unnatural point was found) the attack
         // fell back to reporting the seed.
         assert!(out.predicted == label || out.candidate == seed);
+    }
+
+    #[test]
+    fn a_fallback_seed_succeeds_only_if_it_clears_the_bar() {
+        // Class 1 iff x₀ > 0, and the seed, deep in class 1, is labelled 0:
+        // every iterate stays misclassified, so a bar that rejects the
+        // walk's last iterate makes the run fall back to the seed.
+        let mut net = linear_victim();
+        let seed = Tensor::from_slice(&[1.0, 0.0]);
+        let op = op_guide([1.0, 0.0], 0.1);
+        let mode = op.density().log_density(&[1.0, 0.0]).unwrap();
+        // Full-radius steps leave the mode far behind; only the seed sits
+        // on it.
+        let walk = Pgd::new(NormBall::linf(0.3).unwrap(), 3, 0.3)
+            .unwrap()
+            .with_random_start(false)
+            .guided_by(&op, 0.0)
+            .unwrap();
+        for (tau, natural_seed) in [(mode + 1.0, false), (mode - 0.5, true)] {
+            let bar = walk.clone().with_min_naturalness(tau).unwrap();
+            let out = bar.run(&mut net, &seed, 0, &mut rng()).unwrap();
+            assert_eq!(out.candidate, seed, "τ = {tau}: fell back to the seed");
+            assert_eq!(out.predicted, 1, "τ = {tau}: the seed is misclassified");
+            assert_eq!(out.success, natural_seed, "τ = {tau}");
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@ use std::fmt;
 /// With a naturalness bar τ ([`Pgd::with_min_naturalness`]), a
 /// misclassified iterate is accepted only when its naturalness
 /// `−score(x)` is at least τ: the paper's operational AE. A run whose last
-/// iterate is misclassified but unnatural reports the seed instead.
+/// iterate is misclassified but unnatural reports the seed instead, and
+/// succeeds only if the seed is misclassified and clears τ itself.
 ///
 /// Restart 0 starts at the seed unless random start is on (the default);
 /// later restarts start at a random point in the ball. The run stops at
@@ -206,8 +207,9 @@ impl<'a> Pgd<'a> {
         }
     }
 
-    /// Whether a misclassified iterate clears the naturalness bar. Each
-    /// iterate is scored, and its score recorded, at most once.
+    /// Whether a misclassified iterate, or the seed a run falls back to,
+    /// clears the naturalness bar. Each point is scored, and its score
+    /// recorded, at most once.
     fn natural_enough(&self, x: &Tensor) -> Result<bool, AttackError> {
         let (Some(tau), Some((guide, _))) = (self.min_naturalness, self.guide) else {
             return Ok(true);
@@ -276,6 +278,15 @@ impl<'a> Pgd<'a> {
             pred = predict_one(net, &x)?;
             queries += 1;
         }
+        if !accepted && hit(pred) {
+            // Misclassified but unnatural: not an operational AE, so the
+            // run reports the seed, which is one only if it clears the
+            // bar too.
+            x = seed.clone();
+            pred = predict_one(net, seed)?;
+            queries += 1;
+            accepted = hit(pred) && self.natural_enough(seed)?;
+        }
         if accepted {
             telemetry::counter_add("attack.pgd.success", 1);
             telemetry::counter_add("attack.fuzz.accepted", 1);
@@ -284,16 +295,9 @@ impl<'a> Pgd<'a> {
             telemetry::histogram_record("attack.pgd.iters_to_success", (queries / 2) as f64);
         } else {
             telemetry::counter_add("attack.pgd.failure", 1);
-            if hit(pred) {
-                // Misclassified but unnatural: not an operational AE, so
-                // the run reports the seed.
-                x = seed.clone();
-                pred = predict_one(net, seed)?;
-                queries += 1;
-            }
         }
         Ok(AttackOutcome {
-            success: hit(pred),
+            success: accepted,
             ..AttackOutcome::from_candidate(seed, x, pred, label, queries)?
         })
     }

@@ -4,7 +4,8 @@
 //! detector-aware adaptive attack each used to walk their own copy of the
 //! step loop; the fuzzer scored naturalness through an oracle that only
 //! negated `OpDensityDetector`. The reference functions below keep those
-//! four loops and that oracle as they were. Over more than a thousand
+//! four loops and that oracle as they were, but for one line of the
+//! fuzzer's (see `natural_fuzz_reference`). Over more than a thousand
 //! seeded configurations, the guided `Pgd` must reproduce each of them:
 //! candidate bits, predicted label, success and the RNG's state after the
 //! run everywhere, and the query count for plain PGD and the fuzzer.
@@ -180,6 +181,10 @@ fn density_naturalness_gradient(op: &OpDensityDetector<Gmm>, x: &[f32]) -> Vec<f
 /// The naturalness-guided fuzzer: restart 0 from the seed, later restarts
 /// from random points; ascends loss + λ·naturalness, accepts an AE only
 /// above τ. Returns the outcome and whether it fell back to the seed.
+///
+/// One line differs from the old loop on purpose: a run that falls back
+/// to the seed succeeds only if the seed also clears τ (the old loop
+/// reported any misclassified seed as an operational AE).
 #[allow(clippy::too_many_arguments)]
 fn natural_fuzz_reference(
     c: &Walk,
@@ -238,8 +243,10 @@ fn natural_fuzz_reference(
         let seed_pred = predict_one(net, seed);
         total_queries += 1;
         let out =
-            AttackOutcome::from_candidate(seed, seed.clone(), seed_pred, label, total_queries);
-        return (out.unwrap(), true);
+            AttackOutcome::from_candidate(seed, seed.clone(), seed_pred, label, total_queries)
+                .unwrap();
+        let success = out.success && accepts(seed);
+        return (AttackOutcome { success, ..out }, true);
     }
     let out = AttackOutcome::from_candidate(seed, cand, pred, label, total_queries);
     (out.unwrap(), false)

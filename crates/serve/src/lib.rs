@@ -46,12 +46,14 @@
 //! pending/firing alert (attach via [`MetricsServer::alerts`]).
 //!
 //! The accept loop is bounded: one handler services connections
-//! sequentially off a non-blocking accept with a short poll sleep, so a
-//! scrape storm degrades to queueing in the kernel backlog instead of a
-//! thread-per-connection pileup. Shutdown is graceful: the handle flips
-//! a flag and joins the loop, which finishes any in-flight response
-//! first. Scrapes are read-only over the recorder's lock-free snapshot —
-//! they never block the recording hot path.
+//! sequentially off a blocking accept, so a request is answered as soon
+//! as it arrives and a scrape storm degrades to queueing in the kernel
+//! backlog instead of a thread-per-connection pileup. Shutdown is
+//! graceful: the handle raises a flag, wakes the blocked accept with one
+//! connection to the listener's own port, and joins the loop, which
+//! finishes any in-flight response first. Scrapes are read-only over the
+//! recorder's lock-free snapshot — they never block the recording hot
+//! path.
 //!
 //! # Examples
 //!

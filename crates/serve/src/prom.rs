@@ -86,18 +86,15 @@ fn fmt_value(v: f64) -> String {
 
 fn render_histogram(out: &mut String, family: &str, labels: &str, h: &FixedHistogram) {
     let sep = if labels.is_empty() { "" } else { "," };
-    for (bound, le) in LE_BOUNDS_MS {
+    // `cumulative_le(+∞)` is the exact count, so `+Inf` is one more line
+    // of the same loop.
+    for &(bound, le) in LE_BOUNDS_MS.iter().chain([&(f64::INFINITY, "+Inf")]) {
         let _ = writeln!(
             out,
             "{family}_bucket{{{labels}{sep}le=\"{le}\"}} {}",
-            h.cumulative_le(*bound)
+            h.cumulative_le(bound)
         );
     }
-    let _ = writeln!(
-        out,
-        "{family}_bucket{{{labels}{sep}le=\"+Inf\"}} {}",
-        h.count()
-    );
     let braces = if labels.is_empty() {
         String::new()
     } else {

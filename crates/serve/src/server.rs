@@ -10,18 +10,20 @@ use opad_alert::AlertCenter;
 use opad_telemetry::{phase, BackgroundThread, JsonNum, JsonStr, LiveRecorder};
 use opad_tsdb::TsdbStore;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long the accept loop sleeps when no connection is pending. Also
-/// bounds shutdown latency.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the accept loop backs off after a failed `accept` (say, the
+/// process ran out of file descriptors), so an error that persists does
+/// not spin the thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// How long a connected client gets to deliver its request before the
 /// handler gives up on it (a stalled scraper must not wedge the loop).
+/// Also bounds the shutdown wake's connect.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Where and what to serve.
@@ -97,9 +99,7 @@ impl MetricsServer {
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&self.config.addr)?;
         let addr = listener.local_addr()?;
-        // Non-blocking accept + poll sleep: the loop re-checks the stop
-        // flag between connections, so shutdown never waits on a client.
-        listener.set_nonblocking(true)?;
+        let wake = wake_addr(addr);
         let thread = BackgroundThread::spawn("opad-serve", move |stop| {
             accept_loop(
                 listener,
@@ -109,6 +109,11 @@ impl MetricsServer {
                 self.tsdb,
                 stop,
             )
+        })
+        // The loop blocks in `accept`; the stop raises the flag, then this
+        // one connection makes `accept` return so the loop sees it.
+        .with_wake(move || {
+            let _ = TcpStream::connect_timeout(&wake, CLIENT_TIMEOUT);
         });
         Ok(ServerHandle { addr, thread })
     }
@@ -145,9 +150,15 @@ fn accept_loop(
     // One connection at a time, by design: exposition responses are
     // small and cheap, so sequential handling bounds resource use at
     // exactly one handler regardless of how many scrapers connect —
-    // excess connections queue in the kernel backlog.
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    // excess connections queue in the kernel backlog. `accept` blocks
+    // until a connection arrives; the flag is checked after each one,
+    // so the shutdown wake's connection ends the loop unanswered.
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let _ = handle_connection(
                     stream,
@@ -157,14 +168,23 @@ fn accept_loop(
                     tsdb.as_deref(),
                 );
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
             // Transient accept errors (e.g. a client that reset before
             // we got to it) don't kill the server.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
+}
+
+/// Where the shutdown wake connects: the listener's own address, with an
+/// unspecified IP (`0.0.0.0`, `[::]`) replaced by the loopback address of
+/// the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 fn handle_connection(
@@ -174,7 +194,6 @@ fn handle_connection(
     center: Option<&AlertCenter>,
     tsdb: Option<&TsdbStore>,
 ) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
     stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
     let request = match read_request(&mut stream) {
@@ -340,5 +359,19 @@ fn sampler_health(store: &TsdbStore, now_ms: f64) -> SamplerHealth {
             age_ms: None,
             stale: true,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_wake_goes_to_loopback_for_an_unspecified_bind() {
+        let wake = |bound: &str| wake_addr(bound.parse().expect("valid address")).to_string();
+        assert_eq!(wake("0.0.0.0:9184"), "127.0.0.1:9184");
+        assert_eq!(wake("[::]:9184"), "[::1]:9184");
+        assert_eq!(wake("10.1.2.3:9184"), "10.1.2.3:9184");
+        assert_eq!(wake("[fe80::1]:80"), "[fe80::1]:80");
     }
 }

@@ -8,7 +8,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fixture_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("opad_serve_smoke_{tag}"));
@@ -407,5 +407,62 @@ fn healthz_writes_the_build_commit_as_a_json_string() {
     assert!(status.contains("200"), "{status}");
     let doc = parse_json(body.trim()).expect("healthz is valid JSON");
     assert_eq!(doc.get("git_commit").and_then(|v| v.as_str()), Some(commit));
+    handle.shutdown();
+}
+
+#[test]
+fn an_idle_server_on_the_unspecified_address_stops_promptly() {
+    let handle = MetricsServer::new(
+        Arc::new(LiveRecorder::new()),
+        ServerConfig {
+            addr: "0.0.0.0:0".to_string(),
+            results_dir: fixture_dir("unspecified"),
+            bench_dir: fixture_dir("unspecified_bench"),
+            ..ServerConfig::default()
+        },
+    )
+    .spawn()
+    .expect("ephemeral port binds");
+    assert!(handle.addr().ip().is_unspecified(), "{}", handle.addr());
+    let loopback = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+
+    // No request ever arrived: the loop is blocked in accept, and the
+    // stop's wake connection (to loopback) is what ends it.
+    let t = Instant::now();
+    handle.shutdown();
+    assert!(t.elapsed() < Duration::from_secs(2), "{:?}", t.elapsed());
+    assert!(
+        TcpStream::connect_timeout(&loopback, Duration::from_millis(500)).is_err(),
+        "listener must be closed after shutdown"
+    );
+}
+
+#[test]
+fn a_head_written_in_pieces_with_pauses_gets_a_200() {
+    let handle = MetricsServer::new(
+        Arc::new(LiveRecorder::new()),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            results_dir: fixture_dir("trickle"),
+            bench_dir: fixture_dir("trickle_bench"),
+            ..ServerConfig::default()
+        },
+    )
+    .spawn()
+    .expect("ephemeral port binds");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+    stream.set_nodelay(true).expect("nodelay is settable");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout is settable");
+    // Three bytes per write, so the blank line straddles two writes.
+    for piece in b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n".chunks(3) {
+        stream.write_all(piece).expect("piece writes");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("reads");
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    assert!(response.contains("\"status\":\"ok\""), "{response}");
     handle.shutdown();
 }

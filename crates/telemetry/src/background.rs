@@ -1,30 +1,32 @@
 //! [`BackgroundThread`]: the one lifecycle of the observability plane's
 //! background threads (the alert watch, the tsdb sampler and the metrics
 //! server's accept loop). A named thread watches a stop flag; shutting
-//! the handle down, or dropping it, raises the flag and joins the thread.
+//! the handle down, or dropping it, raises the flag, unparks the thread,
+//! runs the handle's wake hook (if any) and joins the thread.
 //!
 //! [`BackgroundThread::poll`] is the loop the pollers share: call `tick`,
-//! sleep one interval in short slices so a stop is honoured within about
-//! 10 ms however long the interval, and tick one final time on the way
-//! out so the end-of-run state is always observed.
+//! park until the interval's deadline (the stop unparks it, so a stop is
+//! honoured at once however long the interval), and tick one final time
+//! on the way out so the end-of-run state is always observed. A body that
+//! blocks in a call no flag or unpark can interrupt, such as the server's
+//! `accept`, registers a wake hook with [`BackgroundThread::with_wake`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How finely a poll loop slices its sleep.
-const STOP_POLL: Duration = Duration::from_millis(10);
+use std::time::{Duration, Instant};
 
 /// Handle to a running background thread; dropping it stops the thread.
 pub struct BackgroundThread {
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
+    wake: Option<Box<dyn FnOnce() + Send>>,
 }
 
 impl BackgroundThread {
     /// Starts thread `name` running `body`, which is handed the stop flag
-    /// and must return soon after the flag reads `true`.
+    /// and must return soon after the flag reads `true`. The stop also
+    /// unparks the thread, so a body may wait with `thread::park`.
     ///
     /// # Panics
     ///
@@ -39,7 +41,17 @@ impl BackgroundThread {
         BackgroundThread {
             stop,
             thread: Some(thread),
+            wake: None,
         }
+    }
+
+    /// Sets the hook the stop runs after raising the flag and before the
+    /// join: for a body blocked in a call that neither the flag nor an
+    /// unpark interrupts, `wake` makes that call return so the body sees
+    /// the flag.
+    pub fn with_wake(mut self, wake: impl FnOnce() + Send + 'static) -> BackgroundThread {
+        self.wake = Some(Box::new(wake));
+        self
     }
 
     /// Starts thread `name` calling `tick` once per `interval` until
@@ -52,11 +64,14 @@ impl BackgroundThread {
         BackgroundThread::spawn(name, move |stop| {
             while !stop.load(Ordering::Acquire) {
                 tick();
-                let mut slept = Duration::ZERO;
-                while slept < interval && !stop.load(Ordering::Acquire) {
-                    let step = STOP_POLL.min(interval - slept);
-                    std::thread::sleep(step);
-                    slept += step;
+                let deadline = Instant::now() + interval;
+                // The unpark that follows the raised flag ends the wait;
+                // an early or spurious return loops back to the check.
+                while !stop.load(Ordering::Acquire) {
+                    match deadline.checked_duration_since(Instant::now()) {
+                        Some(left) if !left.is_zero() => std::thread::park_timeout(left),
+                        _ => break,
+                    }
                 }
             }
             tick();
@@ -72,7 +87,16 @@ impl BackgroundThread {
 
 impl Drop for BackgroundThread {
     fn drop(&mut self) {
+        // Release pairs with the body's Acquire load; the unpark, made
+        // after the store, also makes the store visible to the thread that
+        // returns from park.
         self.stop.store(true, Ordering::Release);
+        if let Some(thread) = &self.thread {
+            thread.thread().unpark();
+        }
+        if let Some(wake) = self.wake.take() {
+            wake();
+        }
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -98,6 +122,50 @@ mod tests {
         drop(handle);
         assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
         assert_eq!(ticks.load(Ordering::Relaxed), 2, "first tick + final tick");
+    }
+
+    #[test]
+    fn a_poller_ticks_no_faster_than_its_interval() {
+        let ticks = Arc::new(AtomicU64::new(0));
+        let seen = ticks.clone();
+        let interval = Duration::from_millis(20);
+        let t = std::time::Instant::now();
+        let handle = BackgroundThread::poll("test-paced", interval, move || {
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let before_stop = ticks.load(Ordering::Relaxed);
+        let bound = (t.elapsed().as_millis() / interval.as_millis()) as u64 + 1;
+        drop(handle);
+        assert!(
+            before_stop >= 1 && before_stop <= bound,
+            "{before_stop} ticks, bound {bound}"
+        );
+        assert_eq!(
+            ticks.load(Ordering::Relaxed),
+            before_stop + 1,
+            "one final tick"
+        );
+    }
+
+    #[test]
+    fn the_wake_hook_runs_after_the_flag_is_raised() {
+        let (wake_tx, wake_rx) = std::sync::mpsc::channel::<()>();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        // The body blocks in a receive that only the hook's send ends.
+        let handle = BackgroundThread::spawn("opad-test-woken", move |stop| {
+            let _ = wake_rx.recv();
+            let _ = seen_tx.send(stop.load(Ordering::Acquire));
+        })
+        .with_wake(move || {
+            let _ = wake_tx.send(());
+        });
+        handle.shutdown();
+        assert_eq!(
+            seen_rx.recv().ok(),
+            Some(true),
+            "the body saw the raised flag"
+        );
     }
 
     #[test]

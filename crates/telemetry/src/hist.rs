@@ -9,6 +9,7 @@
 //! relative error — and are always clamped into the exact `[min, max]`.
 
 use crate::json::{push_f64, push_str_literal};
+use std::sync::OnceLock;
 
 const DECADE_STEPS: f64 = 10.0;
 const MIN_EXP: f64 = -9.0;
@@ -113,7 +114,7 @@ impl FixedHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             cum += c;
             if cum >= target {
-                return Some(bucket_mid(i).clamp(self.min, self.max));
+                return Some(bucket_mids()[i].clamp(self.min, self.max));
             }
         }
         Some(self.max)
@@ -149,12 +150,10 @@ impl FixedHistogram {
         if bound.is_infinite() && bound > 0.0 {
             return self.count;
         }
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| bucket_mid(*i) <= bound)
-            .map(|(_, &c)| c)
-            .sum()
+        // The midpoints increase strictly with the index, so those `≤
+        // bound` are a prefix (empty for NaN).
+        let n = bucket_mids().partition_point(|&mid| mid <= bound);
+        self.buckets[..n].iter().sum()
     }
 
     /// A point-in-time summary of this histogram.
@@ -234,18 +233,24 @@ fn bucket_of(v: f64) -> usize {
     }
 }
 
-/// Geometric midpoint of a bucket (0 for the zero bucket).
-fn bucket_mid(i: usize) -> f64 {
-    if i == SIDE {
-        return 0.0;
-    }
-    let (off, sign) = if i > SIDE {
-        (i - SIDE - 1, 1.0)
-    } else {
-        (SIDE - 1 - i, -1.0)
-    };
-    let exp = MIN_EXP + (off as f64 + 0.5) / DECADE_STEPS;
-    sign * 10f64.powf(exp)
+/// Every bucket's geometric midpoint by index (0 for the zero bucket),
+/// computed on first use. Strictly increasing.
+fn bucket_mids() -> &'static [f64; NBUCKETS] {
+    static MIDS: OnceLock<[f64; NBUCKETS]> = OnceLock::new();
+    MIDS.get_or_init(|| {
+        std::array::from_fn(|i| {
+            if i == SIDE {
+                return 0.0;
+            }
+            let (off, sign) = if i > SIDE {
+                (i - SIDE - 1, 1.0)
+            } else {
+                (SIDE - 1 - i, -1.0)
+            };
+            let exp = MIN_EXP + (off as f64 + 0.5) / DECADE_STEPS;
+            sign * 10f64.powf(exp)
+        })
+    })
 }
 
 #[cfg(test)]

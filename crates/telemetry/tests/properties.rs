@@ -100,6 +100,78 @@ fn histogram_mean_lies_between_min_and_max() {
     }
 }
 
+/// Bucket `i`'s geometric midpoint, computed per call as `cumulative_le`
+/// once did: 180 buckets per sign, ten per decade from 1e-9, negatives
+/// below the zero bucket at 180.
+fn reference_mid(i: usize) -> f64 {
+    if i == 180 {
+        return 0.0;
+    }
+    let (off, sign) = if i > 180 {
+        (i - 181, 1.0)
+    } else {
+        (179 - i, -1.0)
+    };
+    sign * 10f64.powf(-9.0 + (off as f64 + 0.5) / 10.0)
+}
+
+/// The per-bucket `powf` filter `cumulative_le` used to run.
+fn reference_cumulative_le(h: &FixedHistogram, bound: f64) -> u64 {
+    if bound.is_infinite() && bound > 0.0 {
+        return h.count();
+    }
+    h.bucket_counts()
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| reference_mid(*i) <= bound)
+        .map(|(_, &c)| c)
+        .sum()
+}
+
+#[test]
+fn cumulative_le_matches_the_per_bucket_powf_filter() {
+    // Every midpoint, each just above and below, the `le` grid opad-serve
+    // renders (both signs), zero, ±∞ and NaN.
+    let le_bounds_ms = [
+        0.01, 0.1, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 10000.0,
+    ];
+    let buckets = FixedHistogram::new().bucket_counts().len();
+    let mut bounds: Vec<f64> = Vec::new();
+    for mid in (0..buckets).map(reference_mid) {
+        bounds.extend([mid, mid.next_down(), mid.next_up()]);
+    }
+    bounds.extend(le_bounds_ms);
+    bounds.extend(le_bounds_ms.map(|b| -b));
+    bounds.extend([0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+
+    let mut rng = Lcg(0xB0CE7);
+    for case in 0..40 {
+        let mut h = FixedHistogram::new();
+        for _ in 0..rng.range(600) {
+            // Magnitudes past both ends of the bucket range, a tenth zero.
+            let v = match rng.range(10) {
+                0 => 0.0,
+                k => {
+                    let mag = 10f64.powf(rng.next_f64() * 22.0 - 11.0);
+                    if k % 2 == 0 {
+                        mag
+                    } else {
+                        -mag
+                    }
+                }
+            };
+            h.record(v);
+        }
+        for &bound in &bounds {
+            assert_eq!(
+                h.cumulative_le(bound),
+                reference_cumulative_le(&h, bound),
+                "case {case}, le {bound:e}"
+            );
+        }
+    }
+}
+
 #[test]
 fn counters_are_monotone_under_random_interleavings() {
     let mut rng = Lcg(0xFACADE);

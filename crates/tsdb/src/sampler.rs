@@ -5,9 +5,9 @@
 //! via [`pulse`] without threading the store through every signature.
 //!
 //! The thread is a [`BackgroundThread::poll`] loop, the same one the
-//! alert watch runs: a stop is honoured within ~10ms even at long
-//! intervals, and one final sample on shutdown lands the end-of-run
-//! state in history.
+//! alert watch runs: it parks between samples, a stop is honoured at
+//! once even at long intervals, and one final sample on shutdown lands
+//! the end-of-run state in history.
 
 use crate::store::TsdbStore;
 use opad_telemetry::{BackgroundThread, LiveRecorder};

@@ -7,12 +7,14 @@ cd "$(dirname "$0")/.."
 # The end-to-end benchmark is a package of its own (its own workspace and
 # lock file, path deps on the observability crates). Its smoke test runs
 # every workload for about a second, untraced and traced, with each
-# workload's output checks.
+# workload's output checks. `--locked` here and on the release build: a
+# crate change that would rewrite benchmark/Cargo.lock or Cargo.lock
+# fails the gate instead of editing the lock file.
 echo "==> benchmark smoke test (every workload's output checks)"
-cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --locked"
+cargo build --release --locked
 
 # The workspace is std-only: the root Cargo.lock lists path packages
 # only. A `source =` line would mean a registry or git package came back.
@@ -34,10 +36,14 @@ echo "==> cargo test -q (OPAD_THREADS=4, parallel pool)"
 OPAD_THREADS=4 cargo test -q
 
 # The recording hot path (per-thread recorder handles, write-once metric
-# slots, per-thread line buffers) is atomics and thread-local code, so its
-# suite also runs optimized.
+# slots, per-thread line buffers) is atomics and thread-local code, and the
+# server's blocking accept and its shutdown wake are thread-timing code, so
+# both suites also run optimized.
 echo "==> telemetry suite, release"
 cargo test --release -q -p opad-telemetry
+
+echo "==> serve suite, release"
+cargo test --release -q -p opad-serve
 
 # Shard conformance is the testing loop's headline contract: the same
 # campaign must be bit-identical at 1/2/4/8 shards and 1/2/4/8 threads
