@@ -10,7 +10,10 @@ mod tests {
     use crate::{Attack, NormBall, Pgd};
     use opad_detect::{Detector, OpDensityDetector};
     use opad_opmodel::{Density, Gmm};
+    use opad_telemetry::{self as telemetry, Recorder};
     use opad_tensor::Tensor;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     /// An OP with high density on the negative-x side only.
     fn left_heavy_op() -> OpDensityDetector<Gmm> {
@@ -91,11 +94,47 @@ mod tests {
             .unwrap();
         for (tau, natural_seed) in [(mode + 1.0, false), (mode - 0.5, true)] {
             let bar = walk.clone().with_min_naturalness(tau).unwrap();
-            let out = bar.run(&mut net, &seed, 0, &mut rng()).unwrap();
+            let steps = Arc::new(StepsOnThisThread::new());
+            telemetry::install(steps.clone());
+            let out = bar.run(&mut net, &seed, 0, &mut rng());
+            telemetry::uninstall();
+            let out = out.unwrap();
             assert_eq!(out.candidate, seed, "τ = {tau}: fell back to the seed");
             assert_eq!(out.predicted, 1, "τ = {tau}: the seed is misclassified");
             assert_eq!(out.success, natural_seed, "τ = {tau}");
+            // The AE, if any, is the unmoved seed: found after no steps.
+            let recorded: &[f64] = if natural_seed { &[0.0] } else { &[] };
+            assert_eq!(*steps.samples.lock().unwrap(), recorded, "τ = {tau}");
         }
+    }
+
+    /// Keeps the `attack.pgd.iters_to_success` samples recorded on the
+    /// thread that made it: the recorder is process-wide, and the other
+    /// tests of this binary run on other threads.
+    struct StepsOnThisThread {
+        thread: ThreadId,
+        samples: Mutex<Vec<f64>>,
+    }
+
+    impl StepsOnThisThread {
+        fn new() -> Self {
+            StepsOnThisThread {
+                thread: std::thread::current().id(),
+                samples: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl Recorder for StepsOnThisThread {
+        fn counter_add(&self, _: &'static str, _: u64) {}
+        fn gauge_set(&self, _: &'static str, _: f64) {}
+        fn histogram_record(&self, name: &'static str, value: f64) {
+            if name == "attack.pgd.iters_to_success" && std::thread::current().id() == self.thread {
+                self.samples.lock().unwrap().push(value);
+            }
+        }
+        fn span_start(&self, _: &'static str, _: u64, _: Option<u64>) {}
+        fn span_end(&self, _: &'static str, _: u64, _: Option<u64>, _: f64) {}
     }
 
     #[test]

@@ -278,21 +278,23 @@ impl<'a> Pgd<'a> {
             pred = predict_one(net, &x)?;
             queries += 1;
         }
+        // Each step costs two queries (gradient + prediction), so
+        // queries/2 is the steps the walk spent to find its AE.
+        let mut steps_to_ae = queries / 2;
         if !accepted && hit(pred) {
             // Misclassified but unnatural: not an operational AE, so the
             // run reports the seed, which is one only if it clears the
-            // bar too.
+            // bar too, and then took no steps.
             x = seed.clone();
             pred = predict_one(net, seed)?;
             queries += 1;
             accepted = hit(pred) && self.natural_enough(seed)?;
+            steps_to_ae = 0;
         }
         if accepted {
             telemetry::counter_add("attack.pgd.success", 1);
             telemetry::counter_add("attack.fuzz.accepted", 1);
-            // Each step costs two queries (gradient + prediction), so
-            // queries/2 is the steps spent to find this AE.
-            telemetry::histogram_record("attack.pgd.iters_to_success", (queries / 2) as f64);
+            telemetry::histogram_record("attack.pgd.iters_to_success", steps_to_ae as f64);
         } else {
             telemetry::counter_add("attack.pgd.failure", 1);
         }

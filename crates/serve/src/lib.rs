@@ -51,7 +51,9 @@
 //! backlog instead of a thread-per-connection pileup. Shutdown is
 //! graceful: the handle raises a flag, wakes the blocked accept with one
 //! connection to the listener's own port, and joins the loop, which
-//! finishes any in-flight response first. Scrapes are read-only over the
+//! finishes any in-flight response first (a wake that cannot connect
+//! leaves the loop to stop after its next connection, unjoined). Scrapes
+//! are read-only over the
 //! recorder's lock-free snapshot — they never block the recording hot
 //! path.
 //!

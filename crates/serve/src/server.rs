@@ -10,7 +10,7 @@ use opad_alert::AlertCenter;
 use opad_telemetry::{phase, BackgroundThread, JsonNum, JsonStr, LiveRecorder};
 use opad_tsdb::TsdbStore;
 use std::io;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -112,9 +112,7 @@ impl MetricsServer {
         })
         // The loop blocks in `accept`; the stop raises the flag, then this
         // one connection makes `accept` return so the loop sees it.
-        .with_wake(move || {
-            let _ = TcpStream::connect_timeout(&wake, CLIENT_TIMEOUT);
-        });
+        .with_wake(move || TcpStream::connect_timeout(&wake, CLIENT_TIMEOUT).is_ok());
         Ok(ServerHandle { addr, thread })
     }
 }
@@ -133,7 +131,10 @@ impl ServerHandle {
     }
 
     /// Stops the accept loop and joins the server thread. Any in-flight
-    /// response finishes first; returns once the listener is closed.
+    /// response finishes first; returns once the listener is closed. If
+    /// the wake connection cannot be made (no file descriptor left, say),
+    /// returns without joining: the thread then stops, and closes the
+    /// listener, after the next connection it accepts.
     pub fn shutdown(self) {
         self.thread.shutdown();
     }
@@ -177,14 +178,16 @@ fn accept_loop(
 
 /// Where the shutdown wake connects: the listener's own address, with an
 /// unspecified IP (`0.0.0.0`, `[::]`) replaced by the loopback address of
-/// the same family.
+/// the same family. Everything else, an IPv6 scope id included, is kept.
 fn wake_addr(bound: SocketAddr) -> SocketAddr {
-    let ip = match bound.ip() {
-        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    SocketAddr::new(ip, bound.port())
+    let mut wake = bound;
+    if bound.ip().is_unspecified() {
+        wake.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    wake
 }
 
 fn handle_connection(
@@ -365,6 +368,7 @@ fn sampler_health(store: &TsdbStore, now_ms: f64) -> SamplerHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::SocketAddrV6;
 
     #[test]
     fn the_wake_goes_to_loopback_for_an_unspecified_bind() {
@@ -372,6 +376,16 @@ mod tests {
         assert_eq!(wake("0.0.0.0:9184"), "127.0.0.1:9184");
         assert_eq!(wake("[::]:9184"), "[::1]:9184");
         assert_eq!(wake("10.1.2.3:9184"), "10.1.2.3:9184");
-        assert_eq!(wake("[fe80::1]:80"), "[fe80::1]:80");
+    }
+
+    #[test]
+    fn the_wake_keeps_an_ipv6_scope_id_and_flowinfo() {
+        // Linux refuses a link-local connect without the scope id.
+        let link_local = Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, 1);
+        let bound = SocketAddr::V6(SocketAddrV6::new(link_local, 80, 0, 2));
+        assert_eq!(wake_addr(bound), bound);
+        let any = SocketAddr::V6(SocketAddrV6::new(Ipv6Addr::UNSPECIFIED, 9184, 7, 2));
+        let loopback = SocketAddr::V6(SocketAddrV6::new(Ipv6Addr::LOCALHOST, 9184, 7, 2));
+        assert_eq!(wake_addr(any), loopback);
     }
 }

@@ -9,7 +9,8 @@
 //! honoured at once however long the interval), and tick one final time
 //! on the way out so the end-of-run state is always observed. A body that
 //! blocks in a call no flag or unpark can interrupt, such as the server's
-//! `accept`, registers a wake hook with [`BackgroundThread::with_wake`].
+//! `accept`, registers a wake hook with [`BackgroundThread::with_wake`]; a
+//! wake that fails leaves that thread unjoined rather than hang the stop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +21,7 @@ use std::time::{Duration, Instant};
 pub struct BackgroundThread {
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
-    wake: Option<Box<dyn FnOnce() + Send>>,
+    wake: Option<Box<dyn FnOnce() -> bool + Send>>,
 }
 
 impl BackgroundThread {
@@ -48,8 +49,10 @@ impl BackgroundThread {
     /// Sets the hook the stop runs after raising the flag and before the
     /// join: for a body blocked in a call that neither the flag nor an
     /// unpark interrupts, `wake` makes that call return so the body sees
-    /// the flag.
-    pub fn with_wake(mut self, wake: impl FnOnce() + Send + 'static) -> BackgroundThread {
+    /// the flag. It returns whether the wake landed; when it did not, the
+    /// stop returns without joining, and the thread ends on its own once
+    /// its call returns.
+    pub fn with_wake(mut self, wake: impl FnOnce() -> bool + Send + 'static) -> BackgroundThread {
         self.wake = Some(Box::new(wake));
         self
     }
@@ -94,11 +97,16 @@ impl Drop for BackgroundThread {
         if let Some(thread) = &self.thread {
             thread.thread().unpark();
         }
-        if let Some(wake) = self.wake.take() {
-            wake();
-        }
+        let woken = match self.wake.take() {
+            Some(wake) => wake(),
+            None => true,
+        };
         if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+            // A body the wake did not reach may block for ever; dropping
+            // the handle unjoined detaches it instead.
+            if woken {
+                let _ = thread.join();
+            }
         }
     }
 }
@@ -157,15 +165,31 @@ mod tests {
             let _ = wake_rx.recv();
             let _ = seen_tx.send(stop.load(Ordering::Acquire));
         })
-        .with_wake(move || {
-            let _ = wake_tx.send(());
-        });
+        .with_wake(move || wake_tx.send(()).is_ok());
         handle.shutdown();
         assert_eq!(
             seen_rx.recv().ok(),
             Some(true),
             "the body saw the raised flag"
         );
+    }
+
+    #[test]
+    fn a_wake_that_does_not_land_leaves_the_thread_unjoined() {
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        // Nothing but the test's own send ends this body's receive.
+        let handle = BackgroundThread::spawn("opad-test-unwoken", move |stop| {
+            let _ = release_rx.recv();
+            let _ = seen_tx.send(stop.load(Ordering::Acquire));
+        })
+        .with_wake(|| false);
+        let t = Instant::now();
+        handle.shutdown();
+        assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
+        // The detached body ends once its call returns, flag raised.
+        release_tx.send(()).unwrap();
+        assert_eq!(seen_rx.recv().ok(), Some(true));
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl FixedHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             cum += c;
             if cum >= target {
-                return Some(bucket_mids()[i].clamp(self.min, self.max));
+                return Some(bucket_mid(i).clamp(self.min, self.max));
             }
         }
         Some(self.max)
@@ -233,24 +233,25 @@ fn bucket_of(v: f64) -> usize {
     }
 }
 
-/// Every bucket's geometric midpoint by index (0 for the zero bucket),
-/// computed on first use. Strictly increasing.
+/// Geometric midpoint of a bucket (0 for the zero bucket).
+fn bucket_mid(i: usize) -> f64 {
+    if i == SIDE {
+        return 0.0;
+    }
+    let (off, sign) = if i > SIDE {
+        (i - SIDE - 1, 1.0)
+    } else {
+        (SIDE - 1 - i, -1.0)
+    };
+    let exp = MIN_EXP + (off as f64 + 0.5) / DECADE_STEPS;
+    sign * 10f64.powf(exp)
+}
+
+/// [`bucket_mid`] of every bucket by index, computed on first use.
+/// Strictly increasing.
 fn bucket_mids() -> &'static [f64; NBUCKETS] {
     static MIDS: OnceLock<[f64; NBUCKETS]> = OnceLock::new();
-    MIDS.get_or_init(|| {
-        std::array::from_fn(|i| {
-            if i == SIDE {
-                return 0.0;
-            }
-            let (off, sign) = if i > SIDE {
-                (i - SIDE - 1, 1.0)
-            } else {
-                (SIDE - 1 - i, -1.0)
-            };
-            let exp = MIN_EXP + (off as f64 + 0.5) / DECADE_STEPS;
-            sign * 10f64.powf(exp)
-        })
-    })
+    MIDS.get_or_init(|| std::array::from_fn(bucket_mid))
 }
 
 #[cfg(test)]
